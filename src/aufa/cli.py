@@ -4,7 +4,7 @@ Every command resolves its inputs and configuration up front, runs, and
 writes a run manifest (run_manifest.json) into the output directory; the
 `rerun` command re-executes any manifest and reproduces the same output
 files byte for byte. Exit codes: 0 success, 1 runtime failure, 2 bad
-flags or invalid configuration.
+flags, invalid configuration or a malformed checkpoint.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from pathlib import Path
 from . import benchmark as bm
 from .connectome import DataError, SiteSpec, load_dataset, load_timeseries, \
     pearson_fcn, save_dataset, synth_multisite, write_csv_matrix
+from .encoder import EncoderConfig
 from .evalreport import aggregate_attention, evaluate_model, export_features, \
     predict_dataset
 from .gradcheck import run_suite
-from .model import load_checkpoint, save_checkpoint
+from .model import CheckpointError, load_checkpoint, read_checkpoint_config, \
+    save_checkpoint
 from .trainer import TrainConfig, adapt, pretrain
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -42,8 +44,8 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {path} ({exc})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid UTF-8 JSON: {path} ({exc})") from None
 
 
 def _resolve_config(config_file: str | None, overrides: dict) -> dict:
@@ -82,15 +84,23 @@ def _config_overrides(args: argparse.Namespace) -> dict:
 
 
 def _check_architecture(config: dict, checkpoint_path: str) -> None:
-    ckpt = _load_json(checkpoint_path, "checkpoint")
-    c = ckpt.get("config", {})
-    pairs = [("n_layers", "n_layers"), ("n_heads", "n_heads"),
-             ("ffn_hidden", "ffn_hidden"), ("clf_hidden", "clf_hidden")]
-    for cfg_key, ck_key in pairs:
-        if config[cfg_key] != c.get(ck_key):
+    ckpt, clf_hidden = read_checkpoint_config(checkpoint_path)
+    # d_head None means d_model // n_heads, so compare resolved head widths
+    try:
+        want = EncoderConfig(n_layers=config["n_layers"], n_heads=config["n_heads"],
+                             d_model=ckpt.d_model, d_head=config["d_head"],
+                             ffn_hidden=config["ffn_hidden"], ln_eps=config["ln_eps"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
+    pairs = [(key, getattr(want, key), getattr(ckpt, key))
+             for key in ("n_layers", "n_heads", "ffn_hidden", "ln_eps")]
+    pairs += [("d_head", want.head_width, ckpt.head_width),
+              ("clf_hidden", config["clf_hidden"], clf_hidden)]
+    for key, ours, theirs in pairs:
+        if ours != theirs:
             raise ConfigError(
-                f"config {cfg_key}={config[cfg_key]} does not match "
-                f"checkpoint {ck_key}={c.get(ck_key)}")
+                f"config {key}={ours} does not match checkpoint {key}={theirs}: "
+                f"{checkpoint_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +221,10 @@ def _execute(request: dict, out_dir: Path) -> int:
         config = TrainConfig.from_dict(params["config"])
         source = load_dataset(inputs["source"])
         model, _, log = pretrain(source, config)
-        save_checkpoint(model, out_dir / "checkpoint.json")
+        save_checkpoint(model, out_dir / "checkpoint.bin")
         log.save(out_dir / "runlog.jsonl")
         _write_json(config.to_dict(), out_dir / "config.json")
-        outputs += ["checkpoint.json", "runlog.jsonl", "config.json"]
+        outputs += ["checkpoint.bin", "runlog.jsonl", "config.json"]
 
     elif cmd == "adapt":
         config = TrainConfig.from_dict(params["config"])
@@ -222,10 +232,10 @@ def _execute(request: dict, out_dir: Path) -> int:
         target = load_dataset(inputs["target"])
         model = load_checkpoint(inputs["checkpoint"])
         model, log = adapt(model, source, target, config)
-        save_checkpoint(model, out_dir / "checkpoint.json")
+        save_checkpoint(model, out_dir / "checkpoint.bin")
         log.save(out_dir / "runlog.jsonl")
         _write_json(config.to_dict(), out_dir / "config.json")
-        outputs += ["checkpoint.json", "runlog.jsonl", "config.json"]
+        outputs += ["checkpoint.bin", "runlog.jsonl", "config.json"]
 
     elif cmd == "eval":
         dataset = load_dataset(inputs["data"])
@@ -407,13 +417,13 @@ def main(argv=None) -> int:
         else:
             request = _build_request(args)
             out_dir = Path(args.out) if args.out else _default_out(args.command)
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         return _execute(request, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -311,7 +311,7 @@ def test_criterion_10_rerun_bitwise(tmp_path):
 
     target = tmp_path / "d1" / "target" / "manifest.json"
     assert cli_main(["adapt", "--source", str(source), "--target", str(target),
-                     "--init", str(tmp_path / "p1" / "checkpoint.json"),
+                     "--init", str(tmp_path / "p1" / "checkpoint.bin"),
                      "--serial", "--out", str(tmp_path / "a1"), *flags]) == 0
     assert cli_main(["rerun", str(tmp_path / "a1" / "run_manifest.json"),
                      "--serial", "--out", str(tmp_path / "a2")]) == 0

@@ -36,12 +36,12 @@ def workspace(tmp_path_factory):
     target = root / "data" / "target" / "manifest.json"
     assert main(["pretrain", "--source", str(source), "--out", str(root / "pre"),
                  "--seed", "3", *TRAIN_FLAGS]) == 0
-    ckpt = root / "pre" / "checkpoint.json"
+    ckpt = root / "pre" / "checkpoint.bin"
     assert main(["adapt", "--source", str(source), "--target", str(target),
                  "--init", str(ckpt), "--out", str(root / "ad"),
                  "--seed", "3", *TRAIN_FLAGS]) == 0
     return {"root": root, "specs": specs, "source": source, "target": target,
-            "pre_ckpt": ckpt, "adapt_ckpt": root / "ad" / "checkpoint.json"}
+            "pre_ckpt": ckpt, "adapt_ckpt": root / "ad" / "checkpoint.bin"}
 
 
 def test_synth_outputs(workspace):
@@ -54,7 +54,7 @@ def test_synth_outputs(workspace):
 
 def test_pretrain_outputs(workspace):
     pre = workspace["root"] / "pre"
-    for name in ("checkpoint.json", "runlog.jsonl", "config.json", "run_manifest.json"):
+    for name in ("checkpoint.bin", "runlog.jsonl", "config.json", "run_manifest.json"):
         assert (pre / name).exists(), name
     config = json.loads((pre / "config.json").read_text())
     assert config["seed"] == 3
@@ -95,7 +95,7 @@ def test_eval_random_init_near_chance(tmp_path):
                  "--ffn-hidden", "8", "--clf-hidden", "8"]) == 0
     out = tmp_path / "e"
     assert main(["eval", "--data", str(source),
-                 "--checkpoint", str(tmp_path / "p" / "checkpoint.json"),
+                 "--checkpoint", str(tmp_path / "p" / "checkpoint.bin"),
                  "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.25 <= metrics["accuracy"] <= 0.75
@@ -247,3 +247,77 @@ def test_ablate_command(tmp_path):
     assert variants == ["pretrain", "AUFA-C", "AUFA-AUG", "AUFA-MMD", "AUFA"]
     csv_lines = (out / "ablation.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 6
+
+
+def test_training_outputs_are_exactly_the_manifest(workspace):
+    # the atomic checkpoint write leaves no temp file behind
+    for run in ("pre", "ad"):
+        out = workspace["root"] / run
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        listed = set(manifest["outputs"]) | {"run_manifest.json"}
+        assert {p.name for p in out.iterdir()} == listed
+
+
+@pytest.mark.parametrize("field,value", [("ln_eps", 1e-3), ("d_head", 2)])
+def test_exit_code_config_file_architecture_mismatch(workspace, tmp_path, capsys,
+                                                     field, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({field: value}))
+    out = tmp_path / "mismatch"
+    assert main(["adapt", "--source", str(workspace["source"]),
+                 "--target", str(workspace["target"]),
+                 "--init", str(workspace["pre_ckpt"]), "--config", str(cfg_file),
+                 "--out", str(out), *TRAIN_FLAGS]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_undecodable_config_file(workspace, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(b"\xff\xfe\x00binary")
+    assert main(["pretrain", "--source", str(workspace["source"]),
+                 "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    assert str(cfg_file) in capsys.readouterr().err
+
+
+def test_exit_code_undecodable_run_manifest(tmp_path, capsys):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_bytes(b"\x80\x81\x82")
+    assert main(["rerun", str(manifest), "--out", str(tmp_path / "x")]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
+def _flip_last_byte(blob: bytes) -> bytes:
+    return blob[:-1] + bytes([blob[-1] ^ 1])
+
+
+def _garble_header(blob: bytes) -> bytes:
+    n = int.from_bytes(blob[8:16], "little")
+    return blob[:16] + b"\xff" * n + blob[16 + n:]
+
+
+LEGACY_JSON = b'{"config": {"n_layers": 2}, "params": {}}\n'
+
+
+def _empty_header(blob: bytes) -> bytes:
+    n = int.from_bytes(blob[8:16], "little")
+    return blob[:8] + (2).to_bytes(8, "little") + b"{}" + blob[16 + n:]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda blob: LEGACY_JSON, "JSON checkpoint of an earlier version"),
+    (lambda blob: blob[:len(blob) // 2], "truncated"),
+    (lambda blob: blob[:12], "truncated inside its header"),
+    (_garble_header, "header is not JSON"),
+    (_empty_header, "header is malformed"),
+    (lambda blob: blob + bytes(8), "header shapes need"),
+    (_flip_last_byte, "sha256"),
+], ids=["legacy-json", "truncated-payload", "truncated-header", "header-not-json",
+        "header-malformed", "payload-length", "digest"])
+def test_exit_code_malformed_checkpoint(workspace, tmp_path, capsys, corrupt, message):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(corrupt(workspace["pre_ckpt"].read_bytes()))
+    assert main(["eval", "--data", str(workspace["target"]),
+                 "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err

@@ -1,9 +1,15 @@
+import errno
 import json
 import math
+import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aufa import diffkernel as dk
 from aufa.adaptation import classify, mmd_loss, self_opt_loss, confidence_filter
@@ -399,16 +405,104 @@ def test_runlog_jsonl_format(tmp_path):
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1]
 
 
+# -0.0, subnormals and the largest magnitudes; +1e308 and -1e308 share a
+# partial sum, so the finiteness check on the parameter sum still passes
+SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]
+
+
+def assert_same_bits(model, again):
+    assert again.encoder.config == model.encoder.config
+    assert again.classifier.hidden == model.classifier.hidden
+    assert list(again.param_dict()) == list(model.param_dict())
+    for name, v in model.param_dict().items():
+        # array_equal would treat -0.0 and 0.0 as equal
+        assert np.array_equal(v.data.view(np.uint64),
+                              again.param_dict()[name].data.view(np.uint64)), name
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_config()
     model = model_for(cfg)
-    path = tmp_path / "ckpt.json"
+    model.param_dict()["clf.W2"].data.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    path = tmp_path / "ckpt.bin"
     save_checkpoint(model, path)
     again = load_checkpoint(path)
-    assert again.encoder.config == model.encoder.config
-    assert again.classifier.hidden == model.classifier.hidden
-    for name, v in model.param_dict().items():
-        assert np.array_equal(v.data, again.param_dict()[name].data)
+    assert_same_bits(model, again)
+    # loaded parameters are writable, as Adam updates them in place
+    assert all(v.data.flags.writeable for v in again.param_dict().values())
+
+
+def test_checkpoint_bytes_are_deterministic(tmp_path):
+    model = model_for(tiny_config())
+    save_checkpoint(model, tmp_path / "a.bin")
+    save_checkpoint(model, tmp_path / "b.bin")
+    save_checkpoint(load_checkpoint(tmp_path / "a.bin"), tmp_path / "c.bin")
+    blob = (tmp_path / "a.bin").read_bytes()
+    assert blob == (tmp_path / "b.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_rois=st.integers(1, 6), n_layers=st.integers(1, 3), n_heads=st.integers(1, 3),
+       d_head=st.none() | st.integers(1, 4), ffn_hidden=st.integers(1, 5),
+       clf_hidden=st.integers(1, 5),
+       fill=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1,
+                     max_size=12))
+def test_checkpoint_round_trip_property(n_rois, n_layers, n_heads, d_head, ffn_hidden,
+                                        clf_hidden, fill):
+    model = build_model(n_rois, n_layers, n_heads, ffn_hidden, clf_hidden, 1e-5,
+                        seed=0, d_head=d_head)
+    for v in model.param_dict().values():
+        flat = v.data.reshape(-1)
+        flat[:len(fill)] = fill[:flat.size]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_checkpoint(model, path)
+        assert_same_bits(model, load_checkpoint(path))
+
+
+class DiskFullAfter:
+    """A binary file whose `n_writes`-th write fails with ENOSPC."""
+
+    def __init__(self, path, mode, n_writes):
+        self.fh = open(path, mode)
+        self.n_writes = n_writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.n_writes -= 1
+        if self.n_writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_checkpoint_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    import aufa.model
+
+    monkeypatch.setattr(aufa.model, "open",
+                        lambda path, mode: DiskFullAfter(path, mode, 3), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(model_for(tiny_config()), tmp_path / "ckpt.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(model_for(tiny_config()), path)
+    before = path.read_bytes()
+
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(model_for(tiny_config(seed=1)), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    assert path.read_bytes() == before
 
 
 def test_clone_model_is_independent():
