@@ -10,13 +10,13 @@ restricted to rows where both predictions are confident.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffkernel as dk
 from .diffkernel import Value
+from .encoder import init_values
 
 
 class ClassifierParams:
@@ -34,19 +34,15 @@ class ClassifierParams:
         return list(self.values.values())
 
 
+def classifier_shapes(n_inputs: int, hidden: int) -> dict[str, tuple[int, int]]:
+    """Name and shape of every classifier weight, in initialization order."""
+    return {"clf.W1": (n_inputs, hidden), "clf.b1": (1, hidden),
+            "clf.W2": (hidden, 2), "clf.b2": (1, 2)}
+
+
 def init_classifier(n_inputs: int, seed: int, hidden: int = 4096) -> ClassifierParams:
-    rng = np.random.default_rng(seed)
-    values: dict[str, Value] = {}
-
-    def xavier(name: str, fan_in: int, fan_out: int) -> None:
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        values[name] = Value(rng.uniform(-a, a, size=(fan_in, fan_out)))
-
-    xavier("clf.W1", n_inputs, hidden)
-    values["clf.b1"] = Value(np.zeros((1, hidden)))
-    xavier("clf.W2", hidden, 2)
-    values["clf.b2"] = Value(np.zeros((1, 2)))
-    return ClassifierParams(n_inputs, hidden, values)
+    return ClassifierParams(n_inputs, hidden,
+                            init_values(classifier_shapes(n_inputs, hidden), seed))
 
 
 @dataclass

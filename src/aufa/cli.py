@@ -18,9 +18,8 @@ from pathlib import Path
 from . import benchmark as bm
 from .connectome import DataError, SiteSpec, load_dataset, load_timeseries, \
     pearson_fcn, save_dataset, synth_multisite, write_csv_matrix
-from .encoder import EncoderConfig
-from .evalreport import aggregate_attention, evaluate_model, export_features, \
-    predict_dataset
+from .evalreport import ConnectionRanking, aggregate_attention, evaluate_model, \
+    export_features, predict_dataset
 from .gradcheck import run_suite
 from .model import CheckpointError, load_checkpoint, read_checkpoint_config, \
     save_checkpoint
@@ -48,54 +47,45 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"{what} is not valid UTF-8 JSON: {path} ({exc})") from None
 
 
-def _resolve_config(config_file: str | None, overrides: dict) -> dict:
-    base: dict = {}
-    if config_file is not None:
-        base = _load_json(config_file, "config file")
-        if not isinstance(base, dict):
-            raise ConfigError(f"config file must hold a JSON object: {config_file}")
-    base.update(overrides)
-    try:
-        return TrainConfig.from_dict(base).to_dict()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
+# TrainConfig fields that have a flag of the same name
+_OVERRIDES = ("seed", "lr", "epochs_pretrain", "epochs_adapt", "batch_size",
+              "lambda1", "lambda2", "epsilon", "n_layers", "n_heads",
+              "ffn_hidden", "clf_hidden")
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": "seed", "lr": "lr", "epochs_pretrain": "epochs_pretrain",
-        "epochs_adapt": "epochs_adapt", "batch_size": "batch_size",
-        "lambda1": "lambda1", "lambda2": "lambda2", "epsilon": "epsilon",
-        "n_layers": "n_layers", "n_heads": "n_heads",
-        "ffn_hidden": "ffn_hidden", "clf_hidden": "clf_hidden",
-    }
-    out = {}
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            out[key] = val
+    out = {key: getattr(args, key) for key in _OVERRIDES
+           if getattr(args, key, None) is not None}
     if getattr(args, "gamma_fixed", None) is not None:
         out["gamma_policy"] = {"kind": "fixed", "value": args.gamma_fixed}
     elif getattr(args, "gamma_max", None) is not None:
         out["gamma_policy"] = {"kind": "uniform", "value": args.gamma_max}
-    if getattr(args, "log_target_metrics", False):
-        out["log_target_metrics"] = True
     return out
 
 
-def _check_architecture(config: dict, checkpoint_path: str) -> None:
-    ckpt, clf_hidden = read_checkpoint_config(checkpoint_path)
-    # d_head None means d_model // n_heads, so compare resolved head widths
+def _resolve_config(args: argparse.Namespace) -> TrainConfig:
+    """The --config file, if any, overridden by the flags."""
+    base: dict = {}
+    if args.config:
+        path = _require_file(args.config, "config file")
+        base = _load_json(path, "config file")
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file must hold a JSON object: {path}")
+    base.update(_config_overrides(args))
     try:
-        want = EncoderConfig(n_layers=config["n_layers"], n_heads=config["n_heads"],
-                             d_model=ckpt.d_model, d_head=config["d_head"],
-                             ffn_hidden=config["ffn_hidden"], ln_eps=config["ln_eps"])
-    except ValueError as exc:
+        return TrainConfig.from_dict(base)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from None
+
+
+def _check_architecture(config: TrainConfig, checkpoint_path: str) -> None:
+    ckpt, clf_hidden = read_checkpoint_config(checkpoint_path)
+    want = config.encoder_config(ckpt.d_model)
     pairs = [(key, getattr(want, key), getattr(ckpt, key))
              for key in ("n_layers", "n_heads", "ffn_hidden", "ln_eps")]
+    # d_head None means d_model // n_heads, so compare resolved head widths
     pairs += [("d_head", want.head_width, ckpt.head_width),
-              ("clf_hidden", config["clf_hidden"], clf_hidden)]
+              ("clf_hidden", config.clf_hidden, clf_hidden)]
     for key, ours, theirs in pairs:
         if ours != theirs:
             raise ConfigError(
@@ -118,23 +108,19 @@ def _build_request(args: argparse.Namespace) -> dict:
                 "inputs": {"series": [_require_file(p, "time series") for p in args.series]},
                 "params": {}}
     if cmd == "pretrain":
-        config = _resolve_config(
-            _require_file(args.config, "config file") if args.config else None,
-            _config_overrides(args))
+        config = _resolve_config(args)
         return {"command": cmd,
                 "inputs": {"source": _require_file(args.source, "source manifest")},
-                "params": {"config": config}}
+                "params": {"config": config.to_dict()}}
     if cmd == "adapt":
-        config = _resolve_config(
-            _require_file(args.config, "config file") if args.config else None,
-            _config_overrides(args))
+        config = _resolve_config(args)
         ckpt = _require_file(args.init, "checkpoint")
         _check_architecture(config, ckpt)
         return {"command": cmd,
                 "inputs": {"source": _require_file(args.source, "source manifest"),
                            "target": _require_file(args.target, "target manifest"),
                            "checkpoint": ckpt},
-                "params": {"config": config}}
+                "params": {"config": config.to_dict()}}
     if cmd == "eval":
         return {"command": cmd,
                 "inputs": {"data": _require_file(args.data, "dataset manifest"),
@@ -164,9 +150,7 @@ def _build_request(args: argparse.Namespace) -> dict:
         return {"command": cmd, "inputs": {},
                 "params": {"seeds": args.seeds, "step": args.step}}
     if cmd == "ablate":
-        config = _resolve_config(
-            _require_file(args.config, "config file") if args.config else None,
-            _config_overrides(args))
+        config = _resolve_config(args)
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError:
@@ -176,7 +160,7 @@ def _build_request(args: argparse.Namespace) -> dict:
         return {"command": cmd,
                 "inputs": {"source": _require_file(args.source, "source manifest"),
                            "target": _require_file(args.target, "target manifest")},
-                "params": {"config": config, "seeds": seeds}}
+                "params": {"config": config.to_dict(), "seeds": seeds}}
     raise ConfigError(f"unknown command {cmd!r}")
 
 
@@ -217,21 +201,15 @@ def _execute(request: dict, out_dir: Path) -> int:
             write_csv_matrix(fcn.values, out_dir / name)
             outputs.append(name)
 
-    elif cmd == "pretrain":
+    elif cmd in ("pretrain", "adapt"):
         config = TrainConfig.from_dict(params["config"])
         source = load_dataset(inputs["source"])
-        model, _, log = pretrain(source, config)
-        save_checkpoint(model, out_dir / "checkpoint.bin")
-        log.save(out_dir / "runlog.jsonl")
-        _write_json(config.to_dict(), out_dir / "config.json")
-        outputs += ["checkpoint.bin", "runlog.jsonl", "config.json"]
-
-    elif cmd == "adapt":
-        config = TrainConfig.from_dict(params["config"])
-        source = load_dataset(inputs["source"])
-        target = load_dataset(inputs["target"])
-        model = load_checkpoint(inputs["checkpoint"])
-        model, log = adapt(model, source, target, config)
+        if cmd == "pretrain":
+            model, _, log = pretrain(source, config)
+        else:
+            target = load_dataset(inputs["target"])
+            model = load_checkpoint(inputs["checkpoint"])
+            model, log = adapt(model, source, target, config)
         save_checkpoint(model, out_dir / "checkpoint.bin")
         log.save(out_dir / "runlog.jsonl")
         _write_json(config.to_dict(), out_dir / "config.json")
@@ -251,10 +229,7 @@ def _execute(request: dict, out_dir: Path) -> int:
         _, _, maps = predict_dataset(model, dataset, with_maps=True)
         ranking = aggregate_attention(maps)
         top = ranking.top(params["k"])
-        with open(out_dir / "connections.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("roi_i,roi_j,weight\n")
-            for i, j, w in top:
-                fh.write(f"{i},{j},{repr(w)}\n")
+        ConnectionRanking(tuple(top)).write_csv(out_dir / "connections.csv")
         for i, j, w in top:
             print(f"{i:4d} {j:4d} {w:.6f}")
         outputs.append("connections.csv")
@@ -331,8 +306,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-heads", dest="n_heads", type=int)
     p.add_argument("--ffn-hidden", dest="ffn_hidden", type=int)
     p.add_argument("--clf-hidden", dest="clf_hidden", type=int)
-    p.add_argument("--log-target-metrics", dest="log_target_metrics",
-                   action="store_true")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,6 +386,12 @@ def main(argv=None) -> int:
             for key in ("command", "inputs", "params"):
                 if key not in request:
                     raise ConfigError(f"run manifest missing {key!r}: {manifest_path}")
+            if "config" in request["params"]:
+                try:
+                    TrainConfig.from_dict(request["params"]["config"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"invalid config in run manifest "
+                                      f"{manifest_path}: {exc}") from None
             out_dir = Path(args.out) if args.out else _default_out(request["command"])
         else:
             request = _build_request(args)

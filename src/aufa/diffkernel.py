@@ -33,8 +33,9 @@ class Value:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"Value requires a 2-D matrix, got shape {arr.shape}")
-        # any nan/inf entry makes the sum non-finite
-        if not np.isfinite(arr.sum()):
+        # any nan/inf entry makes the sum non-finite; so can an overflow of
+        # finite entries, which only the entrywise test tells apart
+        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
             raise ValueError("Value data must be finite")
         self.data = arr
         self._grad = None

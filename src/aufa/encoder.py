@@ -99,33 +99,47 @@ class AugmentInjection:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
-def init_encoder(config: EncoderConfig, seed: int) -> EncoderParams:
-    """Uniform Xavier initialization for weight matrices; layer-norm gains 1,
-    offsets and biases 0. Deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    values: dict[str, Value] = {}
-
-    def xavier(name: str, fan_in: int, fan_out: int) -> None:
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        values[name] = Value(rng.uniform(-a, a, size=(fan_in, fan_out)))
-
-    d, dk_, h = config.d_model, config.head_width, config.n_heads
+def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every encoder weight, in initialization order."""
+    d, dk_, h, f = config.d_model, config.head_width, config.n_heads, config.ffn_hidden
+    shapes: dict[str, tuple[int, int]] = {}
     for layer in range(config.n_layers):
         p = f"layer{layer}"
         for head in range(h):
-            xavier(f"{p}.head{head}.WQ", d, dk_)
-            xavier(f"{p}.head{head}.WK", d, dk_)
-            xavier(f"{p}.head{head}.WV", d, dk_)
-        xavier(f"{p}.W", h * dk_, d)
-        values[f"{p}.ln1.g"] = Value(np.ones((1, d)))
-        values[f"{p}.ln1.b"] = Value(np.zeros((1, d)))
-        xavier(f"{p}.W1", d, config.ffn_hidden)
-        values[f"{p}.b1"] = Value(np.zeros((1, config.ffn_hidden)))
-        xavier(f"{p}.W2", config.ffn_hidden, d)
-        values[f"{p}.b2"] = Value(np.zeros((1, d)))
-        values[f"{p}.ln2.g"] = Value(np.ones((1, d)))
-        values[f"{p}.ln2.b"] = Value(np.zeros((1, d)))
-    return EncoderParams(config, values)
+            for w in ("WQ", "WK", "WV"):
+                shapes[f"{p}.head{head}.{w}"] = (d, dk_)
+        shapes[f"{p}.W"] = (h * dk_, d)
+        shapes[f"{p}.ln1.g"] = (1, d)
+        shapes[f"{p}.ln1.b"] = (1, d)
+        shapes[f"{p}.W1"] = (d, f)
+        shapes[f"{p}.b1"] = (1, f)
+        shapes[f"{p}.W2"] = (f, d)
+        shapes[f"{p}.b2"] = (1, d)
+        shapes[f"{p}.ln2.g"] = (1, d)
+        shapes[f"{p}.ln2.b"] = (1, d)
+    return shapes
+
+
+def init_values(shapes: dict[str, tuple[int, int]], seed: int) -> dict[str, Value]:
+    """Layer-norm gains (`.g`) 1, biases and offsets (`.b*`) 0, and uniform
+    Xavier weight matrices drawn in `shapes` order. Deterministic given the
+    seed."""
+    rng = np.random.default_rng(seed)
+    values: dict[str, Value] = {}
+    for name, shape in shapes.items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "g":
+            values[name] = Value(np.ones(shape))
+        elif kind.startswith("b"):
+            values[name] = Value(np.zeros(shape))
+        else:
+            a = math.sqrt(6.0 / sum(shape))
+            values[name] = Value(rng.uniform(-a, a, size=shape))
+    return values
+
+
+def init_encoder(config: EncoderConfig, seed: int) -> EncoderParams:
+    return EncoderParams(config, init_values(parameter_shapes(config), seed))
 
 
 def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Value]:
@@ -207,3 +221,27 @@ def encode(
         z = multi_head_layer(z, params, layer, maps)
         z = feed_forward(z, params, layer)
     return dk.flatten(z), maps
+
+
+def encode_batch(xs, params: EncoderParams,
+                 captures: list[list[Value]] | None = None,
+                 injections: list[AugmentInjection | None] | None = None,
+                 maps: list[AttentionMaps] | None = None) -> Value:
+    """Encode each subject of `xs` on its own and stack the feature rows.
+
+    `injections`, if given, holds one injection (or None) per subject. If
+    `captures` or `maps` is a list, each subject's captured layer inputs or
+    attention maps are appended to it in order; otherwise they are dropped
+    as soon as the subject is encoded.
+    """
+    rows = []
+    for pos, x in enumerate(xs):
+        capture: list[Value] | None = [] if captures is not None else None
+        injection = injections[pos] if injections is not None else None
+        f, m = encode(x, params, injection=injection, capture=capture)
+        if captures is not None:
+            captures.append(capture)
+        if maps is not None:
+            maps.append(m)
+        rows.append(f)
+    return dk.concat_rows(rows)

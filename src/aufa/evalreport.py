@@ -12,8 +12,7 @@ from scipy.stats import rankdata
 
 from .adaptation import classify
 from .connectome import ConnectivityMatrix, Dataset
-from .diffkernel import Value
-from .encoder import AttentionMaps, encode
+from .encoder import AttentionMaps, encode_batch
 from .model import Model
 
 
@@ -110,14 +109,9 @@ def full_report(pred_labels, scores, true_labels) -> MetricsReport:
 
 def predict_dataset(model: Model, dataset: Dataset, with_maps: bool = False):
     """Encode and classify every subject; returns (labels, scores, maps)."""
-    rows = []
     maps: list[AttentionMaps] = []
-    for rec in dataset.subjects:
-        f, m = encode(rec.fcn, model.encoder)
-        rows.append(f.data[0])
-        if with_maps:
-            maps.append(m)
-    feats = Value(np.vstack(rows))
+    feats = encode_batch([s.fcn for s in dataset.subjects], model.encoder,
+                         maps=maps if with_maps else None)
     pred = classify(feats, model.classifier)
     return pred.hard_labels(), pred.positive_scores(), maps
 
@@ -210,8 +204,7 @@ def export_features(dataset: Dataset, which: str, model: Model | None = None) ->
     elif which == "encoded":
         if model is None:
             raise ValueError("encoded export needs a model checkpoint")
-        feats = np.vstack([encode(s.fcn, model.encoder)[0].data[0]
-                           for s in dataset.subjects])
+        feats = encode_batch([s.fcn for s in dataset.subjects], model.encoder).data
     else:
         raise ValueError(f"unknown export mode {which!r}")
     header = ("subject_id", "site", "label") + tuple(f"f{i}" for i in range(feats.shape[1]))

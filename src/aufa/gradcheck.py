@@ -1,5 +1,5 @@
 """Finite-difference validation of every differentiable primitive and of
-the fully composed training objective on a small toy setup."""
+the trainer's joint objective on a small toy setup."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ import math
 import numpy as np
 
 from . import diffkernel as dk
-from .adaptation import FilterMask, LossWeights, classify, joint_loss, mmd_loss, self_opt_loss
+from .adaptation import FilterMask, LossWeights
 from .connectome import TimeSeries, pearson_fcn
 from .diffkernel import Value, finite_diff_check
-from .encoder import AugmentInjection, encode
 from .model import Model, build_model
+from .trainer import joint_objective
 
 
 def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
@@ -100,8 +100,8 @@ def _xavier_randomize(model: Model):
 
 def check_joint_loss(seeds: int = 5, step: float = 1e-5,
                      n_rois: int = 6, batch: int = 4) -> float:
-    """Gradient check of the composed objective (cross-entropy + alignment +
-    consistency) on a 2-layer, 2-head toy model.
+    """Gradient check of the trainer's joint objective (cross-entropy +
+    alignment + consistency) on a 2-layer, 2-head toy model.
 
     The batch, the blend layer/strength, the partner pairing, and the
     confidence mask (held at keep-all) are fixed inside the closure so the
@@ -114,29 +114,13 @@ def check_joint_loss(seeds: int = 5, step: float = 1e-5,
     tgt = _toy_fcns(data_rng, n_rois, batch)
     labels = [i % 2 for i in range(batch)]
     partners = [(i + 1) % batch for i in range(batch)]
-    layer, gamma = 1, 0.3
-    mask = FilterMask(keep=np.ones(batch, dtype=bool), threshold=0.8)
+
+    def keep_all(clean, blended) -> FilterMask:
+        return FilterMask(keep=np.ones(batch, dtype=bool), threshold=0.8)
 
     def f() -> Value:
-        pred_s = classify(dk.concat_rows([encode(x, model.encoder)[0] for x in src]),
-                          model.classifier)
-        l_c = dk.cross_entropy(pred_s.logits, labels)
-        captures: list[list[Value]] = []
-        tgt_rows = []
-        for x in tgt:
-            cap: list[Value] = []
-            frow, _ = encode(x, model.encoder, capture=cap)
-            captures.append(cap)
-            tgt_rows.append(frow)
-        pred_t = classify(dk.concat_rows(tgt_rows), model.classifier)
-        l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
-        aug_rows = []
-        for i, x in enumerate(tgt):
-            inj = AugmentInjection(layer, captures[partners[i]][layer], gamma)
-            aug_rows.append(encode(x, model.encoder, injection=inj)[0])
-        pred_a = classify(dk.concat_rows(aug_rows), model.classifier)
-        l_a = self_opt_loss(pred_t, pred_a, mask)
-        return joint_loss(l_c, l_m, l_a, LossWeights(1.0, 1.0))
+        return joint_objective(model, src, labels, tgt, partners, layer=1, gamma=0.3,
+                               weights=LossWeights(1.0, 1.0), mask=keep_all)[0]
 
     params = list(model.param_dict().values())
     return finite_diff_check(f, params, step=step, seeds=seeds,

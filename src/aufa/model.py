@@ -12,8 +12,9 @@ A checkpoint is one binary file, laid out as:
 
 The bytes are a pure function of the model, so save/load is bitwise lossless
 and saving the same model twice gives identical files. The loader identifies
-the format by its magic, never by the file name, and checks the payload
-length and digest before building any parameter.
+the format by its magic, never by the file name, checks the parameter
+names and shapes against those the builder gives the header's architecture,
+and checks the payload length and digest before building any parameter.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import ClassifierParams, init_classifier
+from .adaptation import ClassifierParams, classifier_shapes, init_classifier
 from .diffkernel import Value
-from .encoder import EncoderConfig, EncoderParams, init_encoder
+from .encoder import EncoderConfig, EncoderParams, init_encoder, parameter_shapes
 
 
 @dataclass
@@ -143,13 +144,24 @@ def _read_header(fh, path: Path) -> tuple[EncoderConfig, int, list, str]:
                    for name, (rows, cols) in header["params"]]
         if header["dtype"] != DTYPE:
             raise ValueError(f"dtype {header['dtype']!r}, expected {DTYPE!r}")
-        if any(min(shape) < 0 for _, shape in entries):
-            raise ValueError("negative parameter shape")
         if len({name for name, _ in entries}) != len(entries):
             raise ValueError("duplicate parameter names")
         digest = str(header["sha256"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint header is malformed: {path} ({exc!r})") from None
+    # the names and shapes the builder gives this architecture
+    expected = {**parameter_shapes(config),
+                **classifier_shapes(config.d_model ** 2, clf_hidden)}
+    found = dict(entries)
+    for name, shape in expected.items():
+        if name not in found:
+            raise CheckpointError(f"checkpoint lacks parameter {name}: {path}")
+        if found[name] != shape:
+            raise CheckpointError(f"checkpoint parameter {name} has shape {found[name]}, "
+                                  f"expected {shape}: {path}")
+    extra = sorted(found.keys() - expected.keys())
+    if extra:
+        raise CheckpointError(f"checkpoint has unexpected parameter {extra[0]}: {path}")
     return config, clf_hidden, entries, digest
 
 
@@ -166,7 +178,7 @@ def load_checkpoint(path) -> Model:
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
     with open(path, "rb") as fh:
-        cfg, _, entries, digest = _read_header(fh, path)
+        cfg, clf_hidden, entries, digest = _read_header(fh, path)
         counts = [rows * cols for _, (rows, cols) in entries]
         expected = 8 * sum(counts)
         actual = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -192,10 +204,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"checkpoint parameter {name}: {exc}: {path}") from None
     enc_values = {k: v for k, v in values.items() if not k.startswith("clf.")}
     clf_values = {k: v for k, v in values.items() if k.startswith("clf.")}
-    if "clf.W1" not in clf_values:
-        raise CheckpointError(f"checkpoint has no parameter clf.W1: {path}")
-    n_inputs, hidden = clf_values["clf.W1"].shape
     return Model(
         encoder=EncoderParams(cfg, enc_values),
-        classifier=ClassifierParams(n_inputs, hidden, clf_values),
+        classifier=ClassifierParams(cfg.d_model ** 2, clf_hidden, clf_values),
     )

@@ -14,16 +14,17 @@ training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import diffkernel as dk
-from .adaptation import (LossWeights, classify, confidence_filter, joint_loss,
-                         mmd_loss, self_opt_loss)
+from .adaptation import (FilterMask, LossWeights, Prediction, classify,
+                         confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from .connectome import Dataset
 from .diffkernel import ComputationRecord, Value, backward, zero_grads
-from .encoder import AugmentInjection, encode
+from .encoder import AugmentInjection, EncoderConfig, encode_batch
 from .model import Model, build_model
 
 
@@ -44,9 +45,6 @@ class GammaPolicy:
         if self.kind == "fixed":
             return self.value
         return float(rng.uniform(0.0, self.value))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
 
     @staticmethod
     def from_dict(d: dict) -> "GammaPolicy":
@@ -73,7 +71,6 @@ class TrainConfig:
     clf_hidden: int = 4096
     ln_eps: float = 1e-5
     d_head: int | None = None
-    log_target_metrics: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -86,24 +83,20 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
+        if self.clf_hidden < 1:
+            raise ValueError("clf_hidden must be positive")
+        self.encoder_config(d_model=1)  # the encoder's own rules; data sets d_model
+
+    def encoder_config(self, d_model: int) -> EncoderConfig:
+        return EncoderConfig(n_layers=self.n_layers, n_heads=self.n_heads,
+                             d_model=d_model, d_head=self.d_head,
+                             ffn_hidden=self.ffn_hidden, ln_eps=self.ln_eps)
 
     def weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
 
     def to_dict(self) -> dict:
-        d = {
-            "lr": self.lr, "epochs_pretrain": self.epochs_pretrain,
-            "epochs_adapt": self.epochs_adapt, "batch_size": self.batch_size,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "epsilon": self.epsilon, "gamma_policy": self.gamma_policy.to_dict(),
-            "adam_beta1": self.adam_beta1, "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps, "seed": self.seed,
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "ffn_hidden": self.ffn_hidden, "clf_hidden": self.clf_hidden,
-            "ln_eps": self.ln_eps, "d_head": self.d_head,
-            "log_target_metrics": self.log_target_metrics,
-        }
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -258,25 +251,27 @@ def sample_paired_batches(source: Dataset, target: Dataset, batch_size: int,
     return batches
 
 
-def _encode_batch(dataset: Dataset, indices, model: Model,
-                  capture_store: list[list[Value]] | None = None) -> Value:
-    rows = []
-    for i in indices:
-        capture: list[Value] | None = [] if capture_store is not None else None
-        f, _ = encode(dataset.subjects[i].fcn, model.encoder, capture=capture)
-        if capture_store is not None:
-            capture_store.append(capture)
-        rows.append(f)
-    return dk.concat_rows(rows)
-
-
-def _grad_dict(params: dict[str, Value]) -> dict[str, np.ndarray]:
-    # adam_step only reads gradients, so no copies needed
-    return {name: p.grad for name, p in params.items()}
-
-
 def _rng_children(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+
+
+def _fcns(dataset: Dataset, indices) -> list:
+    return [dataset.subjects[i].fcn for i in indices]
+
+
+def _step(params: dict[str, Value], state: OptimizerState, config: TrainConfig,
+          objective: Callable[[], tuple[Value, object]]) -> object:
+    """One update: record `objective()`, which returns (loss, stats),
+    backpropagate the loss from zeroed gradients, take an Adam step, and
+    return the stats."""
+    zero_grads(params.values())
+    with ComputationRecord() as rec:
+        loss, stats = objective()
+    backward(loss, rec)
+    # adam_step only reads gradients, so no copies needed
+    adam_step(params, {name: p.grad for name, p in params.items()}, state,
+              config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    return stats
 
 
 def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerState, RunLog]:
@@ -294,73 +289,62 @@ def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerStat
     for epoch in range(config.epochs_pretrain):
         losses = []
         for batch in sample_source_batches(source, config.batch_size, pretrain_rng):
-            labels = [source.subjects[i].label for i in batch]
-            zero_grads(params.values())
-            with ComputationRecord() as rec:
-                feats = _encode_batch(source, batch, model)
-                pred = classify(feats, model.classifier)
-                loss = dk.cross_entropy(pred.logits, labels)
-            backward(loss, rec)
-            adam_step(params, _grad_dict(params), state, config.lr,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
-            losses.append(loss.item())
+            def source_loss():
+                pred = classify(encode_batch(_fcns(source, batch), model.encoder),
+                                model.classifier)
+                loss = dk.cross_entropy(pred.logits, [source.subjects[i].label for i in batch])
+                return loss, loss.item()
+
+            losses.append(_step(params, state, config, source_loss))
         log.append({
             "stage": "pretrain", "epoch": epoch,
             "loss_c": float(np.mean(losses)), "loss_m": 0.0, "loss_a": 0.0,
             "loss_joint": float(np.mean(losses)), "kept_fraction": 0.0,
-            "target_metrics": None,
         })
     return model, state, log
 
 
-def _adapt_step(model: Model, params: dict[str, Value], source: Dataset,
-                target: Dataset, batch: PairedBatch, config: TrainConfig,
-                state: OptimizerState, layer: int, gamma: float) -> dict:
-    """One joint-loss update; loss terms with zero weight are skipped
-    entirely so they contribute neither compute nor gradient."""
-    use_mmd = config.lambda1 != 0.0
-    use_aug = config.lambda2 != 0.0
-    labels = [source.subjects[i].label for i in batch.source_indices]
-    zero_grads(params.values())
-    with ComputationRecord() as rec:
-        src_feats = _encode_batch(source, batch.source_indices, model)
-        pred_s = classify(src_feats, model.classifier)
-        l_c = dk.cross_entropy(pred_s.logits, labels)
-        l_m = dk.scalar(0.0)
-        l_a = dk.scalar(0.0)
-        kept = 0.0
-        if use_mmd or use_aug:
-            captures: list[list[Value]] = []
-            tgt_feats = _encode_batch(target, batch.target_indices, model, captures)
-            pred_t = classify(tgt_feats, model.classifier)
-            if use_mmd:
-                l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
-            if use_aug:
-                aug_rows = []
-                for pos, i in enumerate(batch.target_indices):
-                    inj = AugmentInjection(layer, captures[batch.partners[pos]][layer], gamma)
-                    f, _ = encode(target.subjects[i].fcn, model.encoder, injection=inj)
-                    aug_rows.append(f)
-                pred_a = classify(dk.concat_rows(aug_rows), model.classifier)
-                mask = confidence_filter(pred_t, pred_a, config.epsilon)
-                l_a = self_opt_loss(pred_t, pred_a, mask)
-                kept = mask.kept_fraction
-        if not use_mmd and not use_aug:
-            loss = l_c
-        else:
-            loss = joint_loss(l_c, l_m, l_a, config.weights())
-    backward(loss, rec)
-    adam_step(params, _grad_dict(params), state, config.lr,
-              config.adam_beta1, config.adam_beta2, config.adam_eps)
-    return {"loss_c": l_c.item(), "loss_m": l_m.item(), "loss_a": l_a.item(),
-            "loss_joint": loss.item(), "kept_fraction": kept}
+def joint_objective(model: Model, source_x, labels, target_x, partners,
+                    layer: int, gamma: float, weights: LossWeights,
+                    mask: Callable[[Prediction, Prediction], FilterMask]
+                    ) -> tuple[Value, dict]:
+    """The stage-two loss of one batch and its parts.
+
+    Source subjects `source_x` with `labels` give the cross-entropy. The
+    clean target subjects `target_x` give the alignment term against the
+    source batch, and, blended at `layer` by `gamma` toward their partners
+    (`partners[k]` is the within-batch position of subject k's partner),
+    the consistency term over the rows that `mask(clean, blended)` keeps.
+    A term with zero weight is not computed; with both weights zero the
+    target batch is not encoded at all. Returns the loss and a dict of
+    `loss_c`, `loss_m`, `loss_a`, `loss_joint` and `kept_fraction`.
+    """
+    pred_s = classify(encode_batch(source_x, model.encoder), model.classifier)
+    l_c = dk.cross_entropy(pred_s.logits, labels)
+    l_m = l_a = dk.scalar(0.0)
+    kept = 0.0
+    if weights.lambda1 != 0.0 or weights.lambda2 != 0.0:
+        captures: list[list[Value]] = []
+        pred_t = classify(encode_batch(target_x, model.encoder, captures=captures),
+                          model.classifier)
+        if weights.lambda1 != 0.0:
+            l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
+        if weights.lambda2 != 0.0:
+            injections = [AugmentInjection(layer, captures[k][layer], gamma) for k in partners]
+            pred_a = classify(encode_batch(target_x, model.encoder, injections=injections),
+                              model.classifier)
+            keep = mask(pred_t, pred_a)
+            l_a = self_opt_loss(pred_t, pred_a, keep)
+            kept = keep.kept_fraction
+    loss = joint_loss(l_c, l_m, l_a, weights)
+    return loss, {"loss_c": l_c.item(), "loss_m": l_m.item(), "loss_a": l_a.item(),
+                  "loss_joint": loss.item(), "kept_fraction": kept}
 
 
 def adapt(model: Model, source: Dataset, target: Dataset, config: TrainConfig,
           state: OptimizerState | None = None) -> tuple[Model, RunLog]:
     """Stage two: minimize the joint loss on labelled source plus unlabelled
-    target. Target labels, if present, are never read except for optional
-    per-epoch evaluation into the run log."""
+    target. Target labels are never read."""
     if source.n_rois != model.n_rois or target.n_rois != model.n_rois:
         raise ValueError("dataset dimensions do not match the model")
     for s in source.subjects:
@@ -370,26 +354,22 @@ def adapt(model: Model, source: Dataset, target: Dataset, config: TrainConfig,
     state = state if state is not None else OptimizerState()
     params = model.param_dict()
     log = RunLog()
+    weights = config.weights()
+
+    def mask(clean: Prediction, blended: Prediction) -> FilterMask:
+        return confidence_filter(clean, blended, config.epsilon)
+
     for epoch in range(config.epochs_adapt):
         stats: list[dict] = []
         for batch in sample_paired_batches(source, target, config.batch_size, adapt_rng):
             # drawn unconditionally so stream use is independent of the weights
             layer = int(adapt_rng.integers(config.n_layers))
             gamma = config.gamma_policy.sample(adapt_rng)
-            stats.append(_adapt_step(model, params, source, target, batch,
-                                     config, state, layer, gamma))
-        record = {
-            "stage": "adapt", "epoch": epoch,
-            "loss_c": float(np.mean([s["loss_c"] for s in stats])),
-            "loss_m": float(np.mean([s["loss_m"] for s in stats])),
-            "loss_a": float(np.mean([s["loss_a"] for s in stats])),
-            "loss_joint": float(np.mean([s["loss_joint"] for s in stats])),
-            "kept_fraction": float(np.mean([s["kept_fraction"] for s in stats])),
-            "target_metrics": None,
-        }
-        if config.log_target_metrics and all(s.label is not None for s in target.subjects):
-            from .evalreport import evaluate_model
-
-            record["target_metrics"] = evaluate_model(model, target).to_dict()
-        log.append(record)
+            labels = [source.subjects[i].label for i in batch.source_indices]
+            stats.append(_step(params, state, config, lambda: joint_objective(
+                model, _fcns(source, batch.source_indices), labels,
+                _fcns(target, batch.target_indices), batch.partners, layer, gamma,
+                weights, mask)))
+        log.append({"stage": "adapt", "epoch": epoch,
+                    **{key: float(np.mean([s[key] for s in stats])) for key in stats[0]}})
     return model, log

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -224,6 +225,19 @@ def test_rerun_adapt_bitwise(workspace, tmp_path):
     assert read_tree(first) == read_tree(second)
 
 
+def test_rerun_rejects_invalid_manifest_config(workspace, tmp_path, capsys):
+    # e.g. a manifest of an earlier version with a since-removed field
+    manifest = json.loads((workspace["root"] / "pre" / "run_manifest.json").read_text())
+    manifest["params"]["config"]["log_target_metrics"] = False
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "again"
+    assert main(["rerun", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "log_target_metrics" in err and str(path) in err
+    assert not out.exists()
+
+
 def test_rerun_synth_bitwise(workspace, tmp_path):
     first = tmp_path / "s1"
     assert main(["synth", "--spec", str(workspace["specs"]),
@@ -272,6 +286,22 @@ def test_exit_code_config_file_architecture_mismatch(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,config", [
+    (["--n-layers", "0"], None), (["--ffn-hidden", "0"], None),
+    (["--clf-hidden", "0"], None), ([], {"ln_eps": 0})],
+    ids=["n-layers", "ffn-hidden", "clf-hidden", "config-ln-eps"])
+def test_exit_code_invalid_architecture(workspace, tmp_path, capsys, flags, config):
+    extra = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "bad-arch"
+    assert main(["pretrain", "--source", str(workspace["source"]), "--out", str(out),
+                 *extra, *flags]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_undecodable_config_file(workspace, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_bytes(b"\xff\xfe\x00binary")
@@ -304,6 +334,26 @@ def _empty_header(blob: bytes) -> bytes:
     return blob[:8] + (2).to_bytes(8, "little") + b"{}" + blob[16 + n:]
 
 
+def _edit_params(edit):
+    """A corruption that rewrites the parameter list with `edit` and keeps
+    the header, payload length and digest consistent."""
+    def corrupt(blob: bytes) -> bytes:
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + n])
+        payload = np.frombuffer(blob[16 + n:], dtype="<f8")
+        params, offset = [], 0
+        for name, (rows, cols) in header["params"]:
+            params.append((name, payload[offset:offset + rows * cols].reshape(rows, cols)))
+            offset += rows * cols
+        params = edit(params)
+        data = b"".join(np.ascontiguousarray(a).tobytes() for _, a in params)
+        header["params"] = [[name, list(a.shape)] for name, a in params]
+        header["sha256"] = hashlib.sha256(data).hexdigest()
+        raw = json.dumps(header).encode()
+        return blob[:8] + len(raw).to_bytes(8, "little") + raw + data
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (lambda blob: LEGACY_JSON, "JSON checkpoint of an earlier version"),
     (lambda blob: blob[:len(blob) // 2], "truncated"),
@@ -312,8 +362,15 @@ def _empty_header(blob: bytes) -> bytes:
     (_empty_header, "header is malformed"),
     (lambda blob: blob + bytes(8), "header shapes need"),
     (_flip_last_byte, "sha256"),
+    (_edit_params(lambda ps: [p for p in ps if p[0] != "layer1.ln2.b"]),
+     "lacks parameter layer1.ln2.b"),
+    (_edit_params(lambda ps: [(n, a.T if n == "clf.W2" else a) for n, a in ps]),
+     "parameter clf.W2 has shape (2, 8), expected (8, 2)"),
+    (_edit_params(lambda ps: ps + [("layer2.W", np.zeros((1, 6)))]),
+     "unexpected parameter layer2.W"),
 ], ids=["legacy-json", "truncated-payload", "truncated-header", "header-not-json",
-        "header-malformed", "payload-length", "digest"])
+        "header-malformed", "payload-length", "digest", "missing-parameter",
+        "transposed-parameter", "extra-parameter"])
 def test_exit_code_malformed_checkpoint(workspace, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(corrupt(workspace["pre_ckpt"].read_bytes()))

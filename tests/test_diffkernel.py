@@ -18,13 +18,21 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 # Value / record basics
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
 def test_value_rejects_non_matrix():
     with pytest.raises(ValueError):
         Value(np.zeros(3))
-    with pytest.raises(ValueError):
-        Value(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        Value(np.array([[np.inf, 1.0]]))
+    for bad in ([[np.nan]], [[np.inf, 1.0]], [[np.inf, -np.inf]],
+                [[1e308, 1e308, np.nan]]):
+        with pytest.raises(ValueError, match="finite"):
+            Value(np.array(bad))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_value_accepts_finite_data_whose_sum_overflows():
+    v = Value(np.array([[1e308, 1e308]]))
+    assert v.data.tolist() == [[1e308, 1e308]]
+    assert Value(np.array([[-1e308], [-1e308]])).shape == (2, 1)
 
 
 def test_grad_starts_at_zero():

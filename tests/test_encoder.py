@@ -7,8 +7,8 @@ from aufa import diffkernel as dk
 from aufa.connectome import TimeSeries, pearson_fcn
 from aufa.diffkernel import Value, finite_diff_check
 from aufa.encoder import (AugmentInjection, EncoderConfig,
-                          attention_head, encode, feed_forward, init_encoder,
-                          multi_head_layer)
+                          attention_head, encode, encode_batch, feed_forward,
+                          init_encoder, multi_head_layer)
 
 
 def toy_config(n=6, layers=2, heads=2, ffn=8):
@@ -281,6 +281,59 @@ def test_encode_capture_matches_partner_path():
     inj = AugmentInjection(1, cap[1], gamma=1.0)
     blended, _ = encode(x, params, injection=inj)
     assert np.array_equal(partner_f.data, blended.data)
+
+
+def test_encode_batch_matches_per_subject_encode_bitwise():
+    params = init_encoder(toy_config(), seed=23)
+    xs = [toy_fcn(s) for s in range(30, 34)]
+    captures: list[list[Value]] = []
+    maps = []
+    feats = encode_batch(xs, params, captures=captures, maps=maps)
+    assert feats.shape == (4, 36)
+    assert len(captures) == len(maps) == 4
+    for pos, x in enumerate(xs):
+        cap: list[Value] = []
+        f, m = encode(x, params, capture=cap)
+        assert np.array_equal(feats.data[pos], f.data[0])
+        assert len(captures[pos]) == len(cap) == 2
+        for got, want in zip(captures[pos], cap):
+            assert np.array_equal(got.data, want.data)
+        assert maps[pos].keys() == m.keys()
+        assert np.array_equal(maps[pos].stack(), m.stack())
+
+    # one injection (or none) per subject, each toward a captured partner
+    injections = [AugmentInjection(1, captures[(k + 1) % 4][1], 0.3) for k in range(3)]
+    blended = encode_batch(xs, params, injections=injections + [None])
+    for pos, x in enumerate(xs):
+        inj = injections[pos] if pos < 3 else None
+        assert np.array_equal(blended.data[pos], encode(x, params, injection=inj)[0].data[0])
+
+
+def test_encode_batch_keeps_maps_only_when_asked(monkeypatch):
+    import weakref
+
+    import aufa.encoder
+
+    params = init_encoder(toy_config(), seed=24)
+    original = aufa.encoder.encode
+    made, live_before_call = [], []
+
+    def spy(x, params, injection=None, capture=None):
+        live_before_call.append(sum(ref() is not None for ref in made))
+        out = original(x, params, injection=injection, capture=capture)
+        made.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(aufa.encoder, "encode", spy)
+    captures: list[list[Value]] = []
+    encode_batch([toy_fcn(40), toy_fcn(41), toy_fcn(42)], params, captures=captures)
+    assert len(captures) == 3
+    # maps do not pile up: at most the last subject's are still alive
+    assert max(live_before_call) <= 1
+    assert all(ref() is None for ref in made)
+    maps = []
+    encode_batch([toy_fcn(40)], params, maps=maps)
+    assert len(maps) == 1 and maps[0] is made[-1]()
 
 
 def test_attention_rows_stochastic_across_random_calls():

@@ -165,6 +165,11 @@ def test_config_validation():
         GammaPolicy(kind="bogus")
     with pytest.raises(ValueError):
         GammaPolicy(value=1.5)
+    # the encoder's architecture rules, plus a positive classifier width
+    for field, value in [("n_layers", 0), ("n_heads", 0), ("ffn_hidden", 0),
+                         ("ln_eps", 0.0), ("d_head", 0), ("clf_hidden", 0)]:
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
 
 
 def test_config_round_trip():
@@ -344,6 +349,38 @@ def test_joint_backward_equals_sum_of_parts():
             parts[k] = parts.get(k, 0.0) + p.grad
     for k in params:
         assert np.abs(joint[k] - parts[k]).max() <= 1e-10, k
+
+
+@pytest.mark.parametrize("lambda1,lambda2,encodes", [
+    (0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 3), (1.0, 1.0, 3)])
+def test_zero_weight_terms_cost_no_encodes(monkeypatch, lambda1, lambda2, encodes):
+    import aufa.encoder
+
+    source, target = tiny_datasets(per_class=8)
+    cfg = tiny_config(lambda1=lambda1, lambda2=lambda2, epochs_adapt=1)
+    calls = []
+    original = aufa.encoder.encode
+    monkeypatch.setattr(aufa.encoder, "encode",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    adapt(model_for(cfg), source, target, cfg)
+    steps = len(target) // cfg.batch_size
+    assert len(calls) == encodes * cfg.batch_size * steps
+
+
+def test_gradcheck_checks_the_trainers_objective(monkeypatch):
+    # same value, gradient off by 0.1%: a check of a copy of the objective
+    # would not see it
+    import aufa.trainer
+    from aufa.gradcheck import check_joint_loss
+
+    original = aufa.trainer.mmd_loss
+
+    def skewed_mmd(fs, ft):
+        out = original(fs, ft)
+        return dk._emit("skew", (out,), out.data.copy(), lambda g: (g * (1 + 1e-3),))
+
+    monkeypatch.setattr(aufa.trainer, "mmd_loss", skewed_mmd)
+    assert check_joint_loss(seeds=1) > 1e-4
 
 
 # ---------------------------------------------------------------------------
