@@ -4,7 +4,8 @@ Every command resolves its inputs and configuration up front, runs, and
 writes a run manifest (run_manifest.json) into the output directory; the
 `rerun` command re-executes any manifest and reproduces the same output
 files byte for byte. Exit codes: 0 success, 1 runtime failure, 2 bad
-flags, invalid configuration or a malformed checkpoint.
+flags, invalid configuration, a malformed checkpoint or one that does not
+fit a dataset's region count.
 """
 
 from __future__ import annotations
@@ -93,6 +94,17 @@ def _check_architecture(config: TrainConfig, checkpoint_path: str) -> None:
                 f"{checkpoint_path}")
 
 
+def _check_rois(checkpoint_path: str, *manifest_paths: str) -> None:
+    """Every dataset must have as many regions as the checkpoint's d_model."""
+    d_model = read_checkpoint_config(checkpoint_path)[0].d_model
+    for path in manifest_paths:
+        manifest = _load_json(path, "dataset manifest")
+        n_rois = manifest.get("n_rois") if isinstance(manifest, dict) else None
+        if n_rois != d_model:
+            raise ConfigError(f"dataset {path} has n_rois={n_rois}, but checkpoint "
+                              f"{checkpoint_path} has d_model={d_model}")
+
+
 # ---------------------------------------------------------------------------
 # request construction and validation
 
@@ -114,25 +126,20 @@ def _build_request(args: argparse.Namespace) -> dict:
                 "params": {"config": config.to_dict()}}
     if cmd == "adapt":
         config = _resolve_config(args)
-        ckpt = _require_file(args.init, "checkpoint")
-        _check_architecture(config, ckpt)
-        return {"command": cmd,
-                "inputs": {"source": _require_file(args.source, "source manifest"),
-                           "target": _require_file(args.target, "target manifest"),
-                           "checkpoint": ckpt},
-                "params": {"config": config.to_dict()}}
-    if cmd == "eval":
-        return {"command": cmd,
-                "inputs": {"data": _require_file(args.data, "dataset manifest"),
-                           "checkpoint": _require_file(args.checkpoint, "checkpoint")},
-                "params": {}}
-    if cmd == "attn-top":
-        if args.k < 1:
+        inputs = {"source": _require_file(args.source, "source manifest"),
+                  "target": _require_file(args.target, "target manifest"),
+                  "checkpoint": _require_file(args.init, "checkpoint")}
+        _check_architecture(config, inputs["checkpoint"])
+        _check_rois(inputs["checkpoint"], inputs["source"], inputs["target"])
+        return {"command": cmd, "inputs": inputs, "params": {"config": config.to_dict()}}
+    if cmd in ("eval", "attn-top"):
+        if cmd == "attn-top" and args.k < 1:
             raise ConfigError("--k must be positive")
-        return {"command": cmd,
-                "inputs": {"data": _require_file(args.data, "dataset manifest"),
-                           "checkpoint": _require_file(args.checkpoint, "checkpoint")},
-                "params": {"k": args.k}}
+        inputs = {"data": _require_file(args.data, "dataset manifest"),
+                  "checkpoint": _require_file(args.checkpoint, "checkpoint")}
+        _check_rois(inputs["checkpoint"], inputs["data"])
+        return {"command": cmd, "inputs": inputs,
+                "params": {"k": args.k} if cmd == "attn-top" else {}}
     if cmd == "export-features":
         if args.mode not in ("raw-upper-triangle", "encoded"):
             raise ConfigError(f"unknown export mode {args.mode!r}")
@@ -141,6 +148,7 @@ def _build_request(args: argparse.Namespace) -> dict:
             if not args.checkpoint:
                 raise ConfigError("encoded export needs --checkpoint")
             inputs["checkpoint"] = _require_file(args.checkpoint, "checkpoint")
+            _check_rois(inputs["checkpoint"], inputs["data"])
         return {"command": cmd, "inputs": inputs, "params": {"mode": args.mode}}
     if cmd == "gradcheck":
         if args.seeds < 1:

@@ -1,10 +1,21 @@
 """Dense-matrix reverse-mode differentiation engine.
 
-Every value is a 2-D float64 matrix (scalars are 1x1). Operations applied
-while a ComputationRecord is active are recorded in creation order;
-backward() replays the record in exact reverse order and accumulates
-adjoints into each participating Value's .grad. Without an active record,
-operations run as plain forward evaluation.
+Every value is a float64 matrix: either 2-D (scalars are 1x1) or a stack
+of B equal-shape matrices, shape (B, r, c), one per subject. The encoder
+ops (matmul, transpose, add, sub, scale, relu, affine, concat_cols,
+row_softmax, row_layer_norm, flatten, permute) act on the last two axes,
+so one node serves a whole stack; the other ops take 2-D matrices.
+
+When a 2-D value (a weight) meets a stack, the op's vjp returns one
+partial gradient per subject, and backward() folds them into the value's
+adjoint in reverse subject order: the order in which one node per subject
+would have accumulated them. So, as long as each weight feeds one op per
+stacked pass, batching does not change a bit of any gradient.
+
+Operations applied while a ComputationRecord is active are recorded in
+creation order; backward() replays the record in exact reverse order and
+accumulates adjoints into each participating Value's .grad. Without an
+active record, operations run as plain forward evaluation.
 """
 
 from __future__ import annotations
@@ -31,11 +42,10 @@ class Value:
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"Value requires a 2-D matrix, got shape {arr.shape}")
-        # any nan/inf entry makes the sum non-finite; so can an overflow of
-        # finite entries, which only the entrywise test tells apart
-        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        if arr.ndim not in (2, 3):
+            raise ValueError(
+                f"Value requires a 2-D matrix or a (B, r, c) stack, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
             raise ValueError("Value data must be finite")
         self.data = arr
         self._grad = None
@@ -52,7 +62,7 @@ class Value:
         self._grad = value
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
@@ -113,6 +123,17 @@ def _emit(op: str, inputs: tuple[Value, ...], out_data: np.ndarray, vjp) -> Valu
     return out
 
 
+def _fold(acc: np.ndarray | None, parts: np.ndarray) -> np.ndarray:
+    """acc + parts[B-1] + ... + parts[0] for per-subject partials `parts`,
+    added strictly left to right: the order in which per-subject nodes,
+    met last subject first, would accumulate them. (A numpy reduction may
+    sum pairwise or reorder the subjects.)"""
+    out = parts[-1].copy() if acc is None else acc + parts[-1]
+    for s in parts[-2::-1]:
+        out += s
+    return out
+
+
 def backward(loss: Value, record: ComputationRecord) -> None:
     """Accumulate d(loss)/d(value) into .grad for every value in the record.
 
@@ -133,7 +154,10 @@ def backward(loss: Value, record: ComputationRecord) -> None:
                 continue
             holders[v.node_id] = v
             acc = adjoint.get(v.node_id)
-            adjoint[v.node_id] = dv if acc is None else acc + dv
+            if dv.ndim > v.data.ndim:
+                adjoint[v.node_id] = _fold(acc, dv)
+            else:
+                adjoint[v.node_id] = dv if acc is None else acc + dv
     for nid, g in adjoint.items():
         h = holders[nid]
         if h._grad is None:
@@ -151,19 +175,29 @@ def zero_grads(values) -> None:
 # primitives
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (a view)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _matrix(x: Value, op: str) -> None:
+    if x.data.ndim != 2:
+        raise ValueError(f"{op} needs a 2-D matrix, got shape {x.shape}")
+
+
 def matmul(a: Value, b: Value) -> Value:
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ _swap(b.data), _swap(a.data) @ g
 
     return _emit("matmul", (a, b), out, vjp)
 
 
 def transpose(x: Value) -> Value:
-    return _emit("transpose", (x,), x.data.T.copy(), lambda g: (g.T,))
+    return _emit("transpose", (x,), _swap(x.data).copy(), lambda g: (_swap(g),))
 
 
 def add(a: Value, b: Value) -> Value:
@@ -194,14 +228,14 @@ def relu(x: Value) -> Value:
 
 def affine(x: Value, w: Value, bias: Value) -> Value:
     """x @ w + bias, with bias a 1xN row broadcast over the rows of x."""
-    if x.shape[1] != w.shape[0]:
+    if x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine dimension mismatch: {x.shape} x {w.shape}")
     if bias.shape != (1, w.shape[1]):
         raise ValueError(f"affine bias must be 1x{w.shape[1]}, got {bias.shape}")
     out = x.data @ w.data + bias.data
 
     def vjp(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
+        return g @ w.data.T, _swap(x.data) @ g, g.sum(axis=-2, keepdims=True)
 
     return _emit("affine", (x, w, bias), out, vjp)
 
@@ -209,24 +243,24 @@ def affine(x: Value, w: Value, bias: Value) -> Value:
 def concat_cols(xs: Sequence[Value]) -> Value:
     if not xs:
         raise ValueError("concat_cols needs at least one input")
-    rows = xs[0].shape[0]
-    if any(x.shape[0] != rows for x in xs):
+    rows = xs[0].shape[:-1]
+    if any(x.shape[:-1] != rows for x in xs):
         raise ValueError("concat_cols inputs must share row count")
-    widths = [x.shape[1] for x in xs]
-    splits = np.cumsum(widths)[:-1]
+    splits = np.cumsum([x.shape[-1] for x in xs])[:-1]
 
     def vjp(g):
-        return tuple(np.hsplit(g, splits))
+        return tuple(np.split(g, splits, axis=-1))
 
-    return _emit("concat_cols", tuple(xs), np.hstack([x.data for x in xs]), vjp)
+    return _emit("concat_cols", tuple(xs),
+                 np.concatenate([x.data for x in xs], axis=-1), vjp)
 
 
 def concat_rows(xs: Sequence[Value]) -> Value:
     if not xs:
         raise ValueError("concat_rows needs at least one input")
     cols = xs[0].shape[1]
-    if any(x.shape[1] != cols for x in xs):
-        raise ValueError("concat_rows inputs must share column count")
+    if any(x.data.ndim != 2 or x.shape[1] != cols for x in xs):
+        raise ValueError("concat_rows inputs must be 2-D and share column count")
     heights = [x.shape[0] for x in xs]
     splits = np.cumsum(heights)[:-1]
 
@@ -237,15 +271,35 @@ def concat_rows(xs: Sequence[Value]) -> Value:
 
 
 def flatten(x: Value) -> Value:
+    """Each matrix, row-major, as one row: (r, c) -> (1, r*c) and a
+    (B, r, c) stack -> (B, r*c)."""
     shape = x.shape
 
     def vjp(g):
         return (g.reshape(shape),)
 
-    return _emit("flatten", (x,), x.data.reshape(1, -1).copy(), vjp)
+    rows = shape[0] if len(shape) == 3 else 1
+    return _emit("flatten", (x,), x.data.reshape(rows, -1).copy(), vjp)
+
+
+def permute(x: Value, order: Sequence[int]) -> Value:
+    """Reorder the first axis (the subjects of a stack, the rows of a
+    matrix): out[k] = x[order[k]]. `order` must be a permutation, so the
+    vjp is the inverse reordering; unlike a scatter-add into zeros, that
+    keeps the sign of every zero."""
+    idx = np.asarray(list(order), dtype=np.intp)
+    if idx.shape != (x.shape[0],) or not np.array_equal(np.sort(idx), np.arange(x.shape[0])):
+        raise ValueError(f"permute needs a permutation of range({x.shape[0]})")
+    inverse = np.argsort(idx)
+
+    def vjp(g):
+        return (g[inverse],)
+
+    return _emit("permute", (x,), x.data[idx], vjp)
 
 
 def select_rows(x: Value, indices: Sequence[int]) -> Value:
+    _matrix(x, "select_rows")
     idx = np.asarray(list(indices), dtype=np.intp)
     if idx.size == 0:
         raise ValueError("select_rows needs at least one index")
@@ -262,6 +316,7 @@ def select_rows(x: Value, indices: Sequence[int]) -> Value:
 
 def col_sum(x: Value) -> Value:
     """Sum over rows, returning a 1xN row."""
+    _matrix(x, "col_sum")
 
     def vjp(g):
         return (np.broadcast_to(g, x.shape).copy(),)
@@ -288,12 +343,12 @@ def row_softmax(x: Value, scale: float) -> Value:
     if scale <= 0:
         raise ValueError("row_softmax scale must be positive")
     z = float(scale) * x.data
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return (float(scale) * y * (g - inner),)
 
     return _emit("row_softmax", (x,), y, vjp)
@@ -303,22 +358,22 @@ def row_layer_norm(x: Value, gain: Value, offset: Value, eps: float = 1e-5) -> V
     """Standardize each row to mean 0 / unit variance, then scale and shift."""
     if eps <= 0:
         raise ValueError("row_layer_norm eps must be positive")
-    n = x.shape[1]
+    n = x.shape[-1]
     if gain.shape != (1, n) or offset.shape != (1, n):
         raise ValueError("row_layer_norm gain/offset must be 1xN rows")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     dev = x.data - mu
-    var = (dev * dev).mean(axis=1, keepdims=True)
+    var = (dev * dev).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = dev * inv_std
     out = xhat * gain.data + offset.data
 
     def vjp(g):
         dxhat = g * gain.data
-        dgain = (g * xhat).sum(axis=0, keepdims=True)
-        doffset = g.sum(axis=0, keepdims=True)
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        dgain = (g * xhat).sum(axis=-2, keepdims=True)
+        doffset = g.sum(axis=-2, keepdims=True)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv_std * (dxhat - m1 - xhat * m2)
         return dx, dgain, doffset
 
@@ -327,6 +382,7 @@ def row_layer_norm(x: Value, gain: Value, offset: Value, eps: float = 1e-5) -> V
 
 def cross_entropy(logits: Value, labels: Sequence[int]) -> Value:
     """Mean negative log-softmax of the labelled class over the batch."""
+    _matrix(logits, "cross_entropy")
     b, c = logits.shape
     labels = list(labels)
     if len(labels) != b:
@@ -353,6 +409,7 @@ def kl_divergence(p: Value, q: Value) -> Value:
     Rows must be probability vectors; entries are clamped at 1e-12 before
     the logarithm.
     """
+    _matrix(p, "kl_divergence")
     if p.shape != q.shape:
         raise ValueError(f"kl_divergence shape mismatch: {p.shape} vs {q.shape}")
     for name, v in ("p", p), ("q", q):

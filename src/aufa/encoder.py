@@ -153,8 +153,13 @@ def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Va
 
 
 def multi_head_layer(z: Value, params: EncoderParams, layer: int,
-                     maps: AttentionMaps | None = None) -> Value:
-    """Concatenate all head outputs, project back to d_model, layer-normalize."""
+                     maps: list[AttentionMaps] | None = None) -> Value:
+    """Concatenate all head outputs, project back to d_model, layer-normalize.
+
+    `z` is one subject's (N, N) features or a (B, N, N) stack of them. If
+    `maps` holds one AttentionMaps per subject, each head's score matrices
+    are put there.
+    """
     cfg = params.config
     p = f"layer{layer}"
     heads = []
@@ -163,7 +168,9 @@ def multi_head_layer(z: Value, params: EncoderParams, layer: int,
             z, params[f"{p}.head{head}.WQ"], params[f"{p}.head{head}.WK"],
             params[f"{p}.head{head}.WV"])
         if maps is not None:
-            maps.put(layer, head, scores.data)
+            n = scores.shape[-1]
+            for subject_maps, s in zip(maps, scores.data.reshape(-1, n, n), strict=True):
+                subject_maps.put(layer, head, s)
         heads.append(out)
     projected = dk.matmul(dk.concat_cols(heads), params[f"{p}.W"])
     return dk.row_layer_norm(projected, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], cfg.ln_eps)
@@ -186,33 +193,25 @@ def _mix(own: Value, partner: Value, gamma: float) -> Value:
     return dk.add(dk.scale(own, 1.0 - gamma), dk.scale(partner, gamma))
 
 
-def encode(
-    x: ConnectivityMatrix | np.ndarray | Value,
-    params: EncoderParams,
-    injection: AugmentInjection | None = None,
-    capture: list[Value] | None = None,
-) -> tuple[Value, AttentionMaps]:
-    """Run the full encoder; returns the flattened graph feature and all
-    attention maps.
-
-    If `injection` is given, the features entering layer `injection.layer_index`
-    are first blended toward the partner features. If `capture` is a list, the
-    unblended input features of every layer are appended to it (these are what
-    a partner subject contributes at each depth).
-    """
+def _array(x: ConnectivityMatrix | np.ndarray | Value) -> np.ndarray:
     if isinstance(x, ConnectivityMatrix):
-        z = Value(x.values)
-    elif isinstance(x, Value):
-        z = x
-    else:
-        z = Value(np.asarray(x))
+        return x.values
+    return x.data if isinstance(x, Value) else np.asarray(x)
+
+
+def _layers(z: Value, params: EncoderParams, injection: AugmentInjection | None,
+            capture: list[Value] | None, maps: list[AttentionMaps] | None) -> Value:
+    """Every encoder layer over `z` (one subject or a stack), then flatten."""
     cfg = params.config
-    if z.shape != (cfg.d_model, cfg.d_model):
-        raise ValueError(
-            f"encoder expects a {cfg.d_model}x{cfg.d_model} input, got {z.shape}")
-    if injection is not None and not 0 <= injection.layer_index < cfg.n_layers:
-        raise ValueError(f"injection layer {injection.layer_index} out of range")
-    maps = AttentionMaps()
+    n = cfg.d_model
+    if z.shape[-2:] != (n, n):
+        raise ValueError(f"encoder expects a {n}x{n} input, got {z.shape[-2:]}")
+    if injection is not None:
+        if not 0 <= injection.layer_index < cfg.n_layers:
+            raise ValueError(f"injection layer {injection.layer_index} out of range")
+        if injection.partner_features.shape != z.shape:
+            raise ValueError(f"partner features {injection.partner_features.shape} "
+                             f"do not match the input {z.shape}")
     for layer in range(cfg.n_layers):
         if capture is not None:
             capture.append(z)
@@ -220,28 +219,49 @@ def encode(
             z = _mix(z, injection.partner_features, injection.gamma)
         z = multi_head_layer(z, params, layer, maps)
         z = feed_forward(z, params, layer)
-    return dk.flatten(z), maps
+    return dk.flatten(z)
+
+
+def encode(
+    x: ConnectivityMatrix | np.ndarray | Value,
+    params: EncoderParams,
+    injection: AugmentInjection | None = None,
+    capture: list[Value] | None = None,
+) -> tuple[Value, AttentionMaps]:
+    """Encode one subject; returns its (1, N*N) graph feature row and all
+    its attention maps.
+
+    If `injection` is given, the features entering layer `injection.layer_index`
+    are first blended toward the partner features. If `capture` is a list, the
+    unblended input features of every layer are appended to it (these are what
+    a partner subject contributes at each depth).
+    """
+    z = x if isinstance(x, Value) else Value(_array(x))
+    if len(z.shape) != 2:
+        raise ValueError(f"encode takes one subject's matrix, got shape {z.shape}")
+    maps = AttentionMaps()
+    return _layers(z, params, injection, capture, [maps]), maps
 
 
 def encode_batch(xs, params: EncoderParams,
-                 captures: list[list[Value]] | None = None,
-                 injections: list[AugmentInjection | None] | None = None,
+                 captures: list[Value] | None = None,
+                 injection: AugmentInjection | None = None,
                  maps: list[AttentionMaps] | None = None) -> Value:
-    """Encode each subject of `xs` on its own and stack the feature rows.
+    """Encode the subjects of `xs` as one (B, N, N) stack, one graph op per
+    layer step for the whole batch; returns the (B, N*N) feature rows, row
+    k bitwise equal to `encode(xs[k], ...)`.
 
-    `injections`, if given, holds one injection (or None) per subject. If
-    `captures` or `maps` is a list, each subject's captured layer inputs or
-    attention maps are appended to it in order; otherwise they are dropped
-    as soon as the subject is encoded.
+    `injection`, if given, blends the whole stack toward its
+    `partner_features`, a (B, N, N) stack (see `dk.permute`). If `captures`
+    is a list, the stacked input of every layer is appended to it. If
+    `maps` is a list, one AttentionMaps per subject is appended to it;
+    otherwise no maps are built.
     """
-    rows = []
-    for pos, x in enumerate(xs):
-        capture: list[Value] | None = [] if captures is not None else None
-        injection = injections[pos] if injections is not None else None
-        f, m = encode(x, params, injection=injection, capture=capture)
-        if captures is not None:
-            captures.append(capture)
-        if maps is not None:
-            maps.append(m)
-        rows.append(f)
-    return dk.concat_rows(rows)
+    if not xs:
+        raise ValueError("encode_batch needs at least one subject")
+    z = Value(np.stack([_array(x) for x in xs]))
+    per_subject = [AttentionMaps() for _ in xs] if maps is not None else None
+    feats = _layers(z, params, injection, captures, per_subject)
+    if maps is not None:
+        maps.extend(per_subject)
+    return feats

@@ -324,14 +324,15 @@ def joint_objective(model: Model, source_x, labels, target_x, partners,
     l_m = l_a = dk.scalar(0.0)
     kept = 0.0
     if weights.lambda1 != 0.0 or weights.lambda2 != 0.0:
-        captures: list[list[Value]] = []
+        captures: list[Value] = []
         pred_t = classify(encode_batch(target_x, model.encoder, captures=captures),
                           model.classifier)
         if weights.lambda1 != 0.0:
             l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
         if weights.lambda2 != 0.0:
-            injections = [AugmentInjection(layer, captures[k][layer], gamma) for k in partners]
-            pred_a = classify(encode_batch(target_x, model.encoder, injections=injections),
+            partner = dk.permute(captures[layer], partners)
+            pred_a = classify(encode_batch(target_x, model.encoder,
+                                           injection=AugmentInjection(layer, partner, gamma)),
                               model.classifier)
             keep = mask(pred_t, pred_a)
             l_a = self_opt_loss(pred_t, pred_a, keep)

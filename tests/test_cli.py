@@ -161,13 +161,44 @@ def test_exit_code_architecture_mismatch(workspace, tmp_path):
 
 
 def test_exit_code_runtime_failure(workspace, tmp_path):
-    # dataset dimensions do not match the checkpoint: config is fine,
+    # an unlabelled dataset cannot be evaluated: the request is fine,
     # failure happens at run time
-    specs = write_site_specs(tmp_path / "s8.json", n_rois=8)
-    assert main(["synth", "--spec", str(specs), "--out", str(tmp_path / "d8")]) == 0
-    assert main(["eval", "--data", str(tmp_path / "d8" / "source" / "manifest.json"),
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(workspace["specs"]), "--out", str(data)]) == 0
+    manifest = data / "target" / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    for entry in entries["subjects"]:
+        entry["label"] = None
+    manifest.write_text(json.dumps(entries))
+    assert main(["eval", "--data", str(manifest),
                  "--checkpoint", str(workspace["pre_ckpt"]),
-                 "--out", str(tmp_path / "e8")]) == 1
+                 "--out", str(tmp_path / "e")]) == 1
+
+
+@pytest.fixture(scope="module")
+def data8(tmp_path_factory):
+    """An 8-ROI synth dataset, against the workspace's 6-ROI checkpoints."""
+    root = tmp_path_factory.mktemp("d8")
+    specs = write_site_specs(root / "s8.json", n_rois=8)
+    assert main(["synth", "--spec", str(specs), "--out", str(root / "d8")]) == 0
+    return root / "d8" / "source" / "manifest.json"
+
+
+@pytest.mark.parametrize("command", ["eval", "attn-top", "export-features", "adapt"])
+def test_exit_code_roi_count_mismatch(workspace, data8, tmp_path, capsys, command):
+    ckpt = str(workspace["pre_ckpt"])
+    argv = {"eval": ["--data", str(data8), "--checkpoint", ckpt],
+            "attn-top": ["--data", str(data8), "--checkpoint", ckpt],
+            "export-features": ["--data", str(data8), "--mode", "encoded",
+                                "--checkpoint", ckpt],
+            "adapt": ["--source", str(workspace["source"]), "--target", str(data8),
+                      "--init", ckpt, *TRAIN_FLAGS]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_rois=8" in err and "d_model=6" in err
+    assert str(data8) in err and ckpt in err
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(workspace, tmp_path):

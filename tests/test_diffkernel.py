@@ -20,15 +20,16 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
 def test_value_rejects_non_matrix():
-    with pytest.raises(ValueError):
-        Value(np.zeros(3))
+    for bad_shape in ((3,), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="2-D matrix or a"):
+            Value(np.zeros(bad_shape))
+    assert Value(np.zeros((4, 2, 3))).shape == (4, 2, 3)
     for bad in ([[np.nan]], [[np.inf, 1.0]], [[np.inf, -np.inf]],
                 [[1e308, 1e308, np.nan]]):
         with pytest.raises(ValueError, match="finite"):
             Value(np.array(bad))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_value_accepts_finite_data_whose_sum_overflows():
     v = Value(np.array([[1e308, 1e308]]))
     assert v.data.tolist() == [[1e308, 1e308]]
@@ -407,3 +408,104 @@ def test_every_primitive_gradient_within_tolerance():
     results = check_primitives(seeds=5)
     worst = max(results.values())
     assert worst <= 1e-4, f"worst primitive gradient error {worst}"
+
+
+# ---------------------------------------------------------------------------
+# stacked (B, r, c) values
+
+
+def test_stacked_ops_match_per_matrix_ops_bitwise():
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(-1, 1, (5, 4, 4))
+    w = Value(rng.uniform(-1, 1, (4, 3)))
+    bias = Value(rng.uniform(-1, 1, (1, 3)))
+    g = Value(rng.uniform(0.5, 1.5, (1, 3)))
+    o = Value(rng.uniform(-1, 1, (1, 3)))
+
+    def chain(x):
+        h = dk.affine(dk.relu(dk.matmul(x, dk.transpose(x))), w, bias)
+        h = dk.concat_cols([h, dk.scale(h, 0.5)])
+        return dk.flatten(dk.add(dk.row_softmax(h, 0.7), dk.row_softmax(h, 1.3)))
+
+    stacked = chain(Value(xs))
+    assert stacked.shape == (5, 24)
+    for k in range(5):
+        assert np.array_equal(stacked.data[k], chain(Value(xs[k])).data[0])
+    norm = dk.row_layer_norm(dk.affine(Value(xs), w, bias), g, o)
+    for k in range(5):
+        want = dk.row_layer_norm(dk.affine(Value(xs[k]), w, bias), g, o)
+        assert np.array_equal(norm.data[k], want.data)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_stacked_parameter_gradients_fold_in_reverse_subject_order(batch):
+    """One stacked node per op gives bitwise the parameter gradients of one
+    node per subject (recorded subject by subject, so backward meets the
+    last subject first), as long as each parameter feeds one op."""
+    rng = np.random.default_rng(batch)
+    xs = rng.uniform(-1, 1, (batch, 5, 5))
+    w = Value(rng.uniform(-1, 1, (5, 7)))
+    w2 = Value(rng.uniform(-1, 1, (7, 5)))
+    bias = Value(rng.uniform(-1, 1, (1, 5)))
+    gain = Value(rng.uniform(0.5, 1.5, (1, 5)))
+    offset = Value(rng.uniform(-1, 1, (1, 5)))
+    params = [w, w2, bias, gain, offset]
+
+    def body(x):
+        h = dk.affine(dk.matmul(dk.transpose(x), w), w2, bias)
+        return dk.row_layer_norm(h, gain, offset)
+
+    def grads(loss_of):
+        dk.zero_grads(params)
+        with ComputationRecord() as rec:
+            loss = loss_of()
+        backward(loss, rec)
+        return [p.grad.copy() for p in params]
+
+    stacked = grads(lambda: dk.sum_squares(dk.flatten(body(Value(xs)))))
+    per_subject = grads(lambda: dk.sum_squares(
+        dk.concat_rows([dk.flatten(body(Value(x))) for x in xs])))
+    for got, want in zip(stacked, per_subject):
+        assert np.array_equal(got, want)
+
+
+def test_stacked_primitive_gradients_within_tolerance():
+    x = Value(np.zeros((3, 4, 4)))
+    y = Value(np.zeros((3, 4, 4)))
+    w = Value(np.zeros((4, 2)))
+    bias = Value(np.zeros((1, 2)))
+    gain = Value(np.zeros((1, 4)))
+    offset = Value(np.zeros((1, 4)))
+    checks = [
+        (lambda: dk.matmul(x, dk.transpose(y)), [x, y]),
+        (lambda: dk.matmul(x, w), [x, w]),
+        (lambda: dk.affine(x, w, bias), [x, w, bias]),
+        (lambda: dk.concat_cols([x, dk.relu(y)]), [x, y]),
+        (lambda: dk.row_softmax(dk.sub(x, y), 0.7), [x, y]),
+        (lambda: dk.row_layer_norm(x, gain, offset), [x, gain, offset]),
+        (lambda: dk.flatten(dk.permute(x, [2, 0, 1])), [x]),
+    ]
+    for f, params in checks:
+        assert finite_diff_check(lambda: dk.sum_squares(f()), params, seeds=2) <= 1e-6
+
+
+def test_permute_backward_is_exact_inverse_and_keeps_negative_zero():
+    x = Value(rand((3, 2, 2)))
+    with ComputationRecord() as rec:
+        y = dk.permute(x, [2, 0, 1])
+        loss = dk.sum_all(dk.scale(y, -0.0))
+    assert np.array_equal(y.data, x.data[[2, 0, 1]])
+    backward(loss, rec)
+    assert np.signbit(x.grad).all()  # -0.0 everywhere, as scale's vjp gave it
+    with pytest.raises(ValueError, match="permutation"):
+        dk.permute(x, [0, 0, 1])
+
+
+def test_loss_ops_reject_stacks():
+    s = Value(np.full((2, 3, 2), 0.5))
+    for op in (lambda: dk.cross_entropy(s, [0, 1, 0]), lambda: dk.kl_divergence(s, s),
+               lambda: dk.col_sum(s), lambda: dk.select_rows(s, [0]),
+               lambda: dk.concat_rows([s, s])):
+        with pytest.raises(ValueError, match="2-D"):
+            op()
+

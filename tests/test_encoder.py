@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aufa import diffkernel as dk
 from aufa.connectome import TimeSeries, pearson_fcn
@@ -286,54 +288,106 @@ def test_encode_capture_matches_partner_path():
 def test_encode_batch_matches_per_subject_encode_bitwise():
     params = init_encoder(toy_config(), seed=23)
     xs = [toy_fcn(s) for s in range(30, 34)]
-    captures: list[list[Value]] = []
+    captures: list[Value] = []
     maps = []
     feats = encode_batch(xs, params, captures=captures, maps=maps)
     assert feats.shape == (4, 36)
-    assert len(captures) == len(maps) == 4
+    assert len(captures) == 2 and len(maps) == 4
     for pos, x in enumerate(xs):
         cap: list[Value] = []
         f, m = encode(x, params, capture=cap)
         assert np.array_equal(feats.data[pos], f.data[0])
-        assert len(captures[pos]) == len(cap) == 2
-        for got, want in zip(captures[pos], cap):
-            assert np.array_equal(got.data, want.data)
+        for got, want in zip(captures, cap, strict=True):
+            assert np.array_equal(got.data[pos], want.data)
         assert maps[pos].keys() == m.keys()
         assert np.array_equal(maps[pos].stack(), m.stack())
 
-    # one injection (or none) per subject, each toward a captured partner
-    injections = [AugmentInjection(1, captures[(k + 1) % 4][1], 0.3) for k in range(3)]
-    blended = encode_batch(xs, params, injections=injections + [None])
+    # the whole stack blended toward a permutation of its own captures
+    order = [1, 2, 3, 0]
+    partner = dk.permute(captures[1], order)
+    blended = encode_batch(xs, params, injection=AugmentInjection(1, partner, 0.3))
     for pos, x in enumerate(xs):
-        inj = injections[pos] if pos < 3 else None
+        inj = AugmentInjection(1, Value(captures[1].data[order[pos]]), 0.3)
         assert np.array_equal(blended.data[pos], encode(x, params, injection=inj)[0].data[0])
 
 
-def test_encode_batch_keeps_maps_only_when_asked(monkeypatch):
-    import weakref
+def test_encode_batch_rejects_mismatched_partner_stack():
+    params = init_encoder(toy_config(), seed=25)
+    xs = [toy_fcn(s) for s in range(3)]
+    inj = AugmentInjection(0, Value(np.zeros((2, 6, 6))), 0.5)
+    with pytest.raises(ValueError, match="partner features"):
+        encode_batch(xs, params, injection=inj)
+    with pytest.raises(ValueError, match="at least one subject"):
+        encode_batch([], params)
 
+
+def _classifier_gradients(model, loss_of):
+    params = model.param_dict()
+    dk.zero_grads(params.values())
+    with dk.ComputationRecord() as rec:
+        loss = loss_of()
+    dk.backward(loss, rec)
+    return {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("batch", [1, 4, 32])
+def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
+    from aufa.adaptation import classify
+    from aufa.model import build_model
+
+    model = build_model(n_rois=6, n_layers=2, n_heads=2, ffn_hidden=8,
+                        clf_hidden=16, ln_eps=1e-5, seed=26)
+    xs = [toy_fcn(100 + s) for s in range(batch)]
+    labels = [s % 2 for s in range(batch)]
+
+    def batched():
+        pred = classify(encode_batch(xs, model.encoder), model.classifier)
+        return dk.cross_entropy(pred.logits, labels)
+
+    def per_subject():
+        rows = dk.concat_rows([encode(x, model.encoder)[0] for x in xs])
+        return dk.cross_entropy(classify(rows, model.classifier).logits, labels)
+
+    got = _classifier_gradients(model, batched)
+    want = _classifier_gradients(model, per_subject)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_training_builds_no_attention_maps(monkeypatch):
     import aufa.encoder
+    from aufa.connectome import SiteSpec, synth_multisite
+    from aufa.trainer import TrainConfig, adapt, pretrain
 
-    params = init_encoder(toy_config(), seed=24)
-    original = aufa.encoder.encode
-    made, live_before_call = [], []
+    built = []
+    original = aufa.encoder.AttentionMaps.__init__
 
-    def spy(x, params, injection=None, capture=None):
-        live_before_call.append(sum(ref() is not None for ref in made))
-        out = original(x, params, injection=injection, capture=capture)
-        made.append(weakref.ref(out[1]))
-        return out
+    def spy(self):
+        built.append(1)
+        original(self)
 
-    monkeypatch.setattr(aufa.encoder, "encode", spy)
-    captures: list[list[Value]] = []
-    encode_batch([toy_fcn(40), toy_fcn(41), toy_fcn(42)], params, captures=captures)
-    assert len(captures) == 3
-    # maps do not pile up: at most the last subject's are still alive
-    assert max(live_before_call) <= 1
-    assert all(ref() is None for ref in made)
-    maps = []
-    encode_batch([toy_fcn(40)], params, maps=maps)
-    assert len(maps) == 1 and maps[0] is made[-1]()
+    monkeypatch.setattr(aufa.encoder.AttentionMaps, "__init__", spy)
+    spec = dict(n_subjects_per_class=4, n_rois=6, series_length=40)
+    source, target = synth_multisite(SiteSpec(seed=3, **spec), SiteSpec(seed=4, **spec))
+    cfg = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_heads=2,
+                      ffn_hidden=8, clf_hidden=8, epsilon=0.55)
+    model, _, _ = pretrain(source, cfg)
+    adapt(model, source, target, cfg)
+    assert built == []
+    encode(toy_fcn(0), model.encoder)
+    assert built == [1]
+
+
+_PERMUTATION_PARAMS = init_encoder(toy_config(), seed=27)
+_PERMUTATION_XS = [toy_fcn(200 + s) for s in range(6)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(6)))
+def test_permuting_subjects_permutes_feature_rows_bitwise(order):
+    feats = encode_batch(_PERMUTATION_XS, _PERMUTATION_PARAMS).data
+    permuted = encode_batch([_PERMUTATION_XS[k] for k in order], _PERMUTATION_PARAMS).data
+    assert np.array_equal(permuted, feats[list(order)])
 
 
 def test_attention_rows_stochastic_across_random_calls():

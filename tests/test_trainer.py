@@ -354,17 +354,44 @@ def test_joint_backward_equals_sum_of_parts():
 @pytest.mark.parametrize("lambda1,lambda2,encodes", [
     (0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 3), (1.0, 1.0, 3)])
 def test_zero_weight_terms_cost_no_encodes(monkeypatch, lambda1, lambda2, encodes):
-    import aufa.encoder
+    import aufa.trainer
 
     source, target = tiny_datasets(per_class=8)
     cfg = tiny_config(lambda1=lambda1, lambda2=lambda2, epochs_adapt=1)
-    calls = []
-    original = aufa.encoder.encode
-    monkeypatch.setattr(aufa.encoder, "encode",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    subjects = []
+    original = aufa.trainer.encode_batch
+    monkeypatch.setattr(aufa.trainer, "encode_batch",
+                        lambda xs, *a, **k: subjects.append(len(xs)) or original(xs, *a, **k))
     adapt(model_for(cfg), source, target, cfg)
     steps = len(target) // cfg.batch_size
-    assert len(calls) == encodes * cfg.batch_size * steps
+    assert subjects == [cfg.batch_size] * (encodes * steps)
+
+
+def aufa_step_nodes(batch_size, n_rois=16):
+    """Nodes recorded by one full-AUFA joint_objective step."""
+    from aufa.adaptation import FilterMask, LossWeights
+    from aufa.trainer import joint_objective
+
+    source, target = tiny_datasets(per_class=batch_size // 2, n_rois=n_rois)
+    cfg = tiny_config(batch_size=batch_size)
+    model = model_for(cfg, n_rois=n_rois)
+    batch = sample_paired_batches(source, target, batch_size, _rng_children(0)[3])[0]
+
+    def keep_all(clean, blended):
+        return FilterMask(keep=np.ones(batch_size, dtype=bool), threshold=0.8)
+
+    with ComputationRecord() as rec:
+        joint_objective(model, [source.subjects[i].fcn for i in batch.source_indices],
+                        [source.subjects[i].label for i in batch.source_indices],
+                        [target.subjects[i].fcn for i in batch.target_indices],
+                        batch.partners, 1, 0.4, LossWeights(1.0, 1.0), keep_all)
+    return len(rec)
+
+
+def test_aufa_step_node_count_is_independent_of_batch_size():
+    nodes = aufa_step_nodes(4)
+    assert nodes == aufa_step_nodes(32)
+    assert nodes < 300
 
 
 def test_gradcheck_checks_the_trainers_objective(monkeypatch):
