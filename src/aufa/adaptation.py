@@ -20,12 +20,19 @@ from .encoder import init_values
 
 
 class ClassifierParams:
-    """Two fully-connected layers: n_inputs -> hidden -> 2."""
+    """Two fully-connected layers: n_inputs -> hidden -> 2, with both
+    widths read from the shape of clf.W1."""
 
-    def __init__(self, n_inputs: int, hidden: int, values: dict[str, Value]):
-        self.n_inputs = n_inputs
-        self.hidden = hidden
+    def __init__(self, values: dict[str, Value]):
         self.values = values
+
+    @property
+    def n_inputs(self) -> int:
+        return self.values["clf.W1"].shape[0]
+
+    @property
+    def hidden(self) -> int:
+        return self.values["clf.W1"].shape[1]
 
     def __getitem__(self, name: str) -> Value:
         return self.values[name]
@@ -41,8 +48,7 @@ def classifier_shapes(n_inputs: int, hidden: int) -> dict[str, tuple[int, int]]:
 
 
 def init_classifier(n_inputs: int, seed: int, hidden: int = 4096) -> ClassifierParams:
-    return ClassifierParams(n_inputs, hidden,
-                            init_values(classifier_shapes(n_inputs, hidden), seed))
+    return ClassifierParams(init_values(classifier_shapes(n_inputs, hidden), seed))
 
 
 @dataclass

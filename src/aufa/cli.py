@@ -4,8 +4,9 @@ Every command resolves its inputs and configuration up front, runs, and
 writes a run manifest (run_manifest.json) into the output directory; the
 `rerun` command re-executes any manifest and reproduces the same output
 files byte for byte. Exit codes: 0 success, 1 runtime failure, 2 bad
-flags, invalid configuration, a malformed checkpoint or one that does not
-fit a dataset's region count.
+flags, invalid configuration, malformed input data (a dataset manifest,
+time-series or connectivity CSV), a malformed checkpoint or one that does
+not fit a dataset's region count.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
 
     try:
         return _execute(request, out_dir)
-    except (ConfigError, CheckpointError) as exc:
+    except (ConfigError, CheckpointError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

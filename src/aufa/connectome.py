@@ -172,7 +172,10 @@ def load_timeseries(path, subject_id: str | None = None, site_id: str = "") -> T
     """Parse a headerless CSV of T rows x N columns into a TimeSeries."""
     path = Path(path)
     values = _parse_csv_matrix(path)
-    return TimeSeries(subject_id=subject_id or path.stem, values=values, site_id=site_id)
+    try:
+        return TimeSeries(subject_id=subject_id or path.stem, values=values, site_id=site_id)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_csv_matrix(values: np.ndarray, path) -> None:
@@ -299,18 +302,34 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"no such manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    n_rois = int(manifest["n_rois"])
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"dataset manifest is not valid UTF-8 JSON: {manifest_path} "
+                        f"({exc})") from None
+
+    def field(entry, key: str, where: str, cast):
+        if not isinstance(entry, dict):
+            raise DataError(f"dataset manifest {manifest_path}: {where} is not a JSON object")
+        if key not in entry:
+            raise DataError(f"dataset manifest {manifest_path}: {where} lacks {key!r}")
+        try:
+            return cast(entry[key])
+        except (TypeError, ValueError):
+            raise DataError(f"dataset manifest {manifest_path}: {where} has an invalid "
+                            f"{key!r}: {entry[key]!r}") from None
+
+    n_rois = field(manifest, "n_rois", "the top level", int)
     root = manifest_path.parent
     subjects = []
     seen: set[str] = set()
-    for entry in manifest["subjects"]:
-        sid = str(entry["id"])
+    for k, entry in enumerate(field(manifest, "subjects", "the top level", list)):
+        sid = field(entry, "id", f"subject {k}", str)
         if sid in seen:
             raise DataError(f"duplicate subject_id {sid!r} in {manifest_path}")
         seen.add(sid)
-        path = root / entry["path"]
+        path = root / field(entry, "path", f"subject {sid!r}", str)
         if not path.exists():
             raise DataError(f"manifest {manifest_path} references missing file {path}")
         kind = entry.get("kind", "fcn")
@@ -318,19 +337,23 @@ def load_dataset(manifest_path) -> Dataset:
         if kind == "timeseries":
             fcn = pearson_fcn(load_timeseries(path, subject_id=sid, site_id=site))
         elif kind == "fcn":
-            fcn = ConnectivityMatrix(_parse_csv_matrix(path))
+            values = _parse_csv_matrix(path)
+            try:
+                fcn = ConnectivityMatrix(values)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
         else:
-            raise DataError(f"unknown subject kind {kind!r} for {sid!r}")
+            raise DataError(f"unknown subject kind {kind!r} for {sid!r} in {manifest_path}")
         if fcn.n_rois != n_rois:
             raise DataError(
                 f"dimension mismatch: subject {sid!r} has {fcn.n_rois} regions, "
-                f"manifest declares {n_rois}"
+                f"manifest {manifest_path} declares {n_rois}"
             )
         label = entry.get("label")
         if label is not None:
-            label = int(label)
+            label = field(entry, "label", f"subject {sid!r}", int)
             if label not in (0, 1):
-                raise DataError(f"label for {sid!r} must be 0, 1, or null")
+                raise DataError(f"label for {sid!r} in {manifest_path} must be 0, 1, or null")
         subjects.append(SubjectRecord(sid, fcn, label, site))
     return Dataset(tuple(subjects), n_rois)
 

@@ -13,15 +13,18 @@ would have accumulated them. So, as long as each weight feeds one op per
 stacked pass, batching does not change a bit of any gradient.
 
 Operations applied while a ComputationRecord is active are recorded in
-creation order; backward() replays the record in exact reverse order and
-accumulates adjoints into each participating Value's .grad. Without an
-active record, operations run as plain forward evaluation.
+creation order. backward(loss, record, wrt) replays the record in exact
+reverse order and returns d(loss)/d(v) for each v in wrt. It is pure: it
+writes to no Value and keeps no state, so calling it twice gives the same
+bits. The returned arrays are read-only and may share memory with one
+another (add's vjp hands one cotangent to both inputs). Without an active
+record, operations run as plain forward evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,13 +35,9 @@ _node_ids = itertools.count()
 
 
 class Value:
-    """A matrix node: data, a same-shape gradient accumulator, and an id.
+    """A matrix node: float64 data and a unique id."""
 
-    The gradient buffer starts at zero; it is allocated lazily on first
-    access so pure-forward evaluation stays cheap.
-    """
-
-    __slots__ = ("data", "_grad", "node_id")
+    __slots__ = ("data", "node_id")
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -48,18 +47,7 @@ class Value:
         if not np.isfinite(arr).all():
             raise ValueError("Value data must be finite")
         self.data = arr
-        self._grad = None
         self.node_id = next(_node_ids)
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,10 +57,6 @@ class Value:
         if self.data.shape != (1, 1):
             raise ValueError(f"item() needs a 1x1 value, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self) -> None:
-        # dropping the buffer is equivalent to zeroing it; .grad reallocates
-        self._grad = None
 
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape}, id={self.node_id})"
@@ -134,41 +118,39 @@ def _fold(acc: np.ndarray | None, parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(loss: Value, record: ComputationRecord) -> None:
-    """Accumulate d(loss)/d(value) into .grad for every value in the record.
+def backward(loss: Value, record: ComputationRecord,
+             wrt: Iterable[Value]) -> list[np.ndarray]:
+    """d(loss)/d(v) for each v in `wrt`, in order; exact zeros for a v the
+    loss does not reach.
 
-    Adjoints are kept in per-pass buffers, so calling backward twice on the
-    same record without zeroing grads accumulates exactly twice the
-    single-pass gradient.
+    Pure: no Value is written, so two calls on one record return the same
+    bits. The results are read-only arrays and may share memory with one
+    another.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    wrt = list(wrt)
+    wanted = {v.node_id for v in wrt}
     adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
-    holders: dict[int, Value] = {loss.node_id: loss}
     for node in reversed(record.nodes):
-        g = adjoint.get(node.output.node_id)
+        # every consumer of this output came later, so its adjoint is final
+        out_id = node.output.node_id
+        g = adjoint.get(out_id) if out_id in wanted else adjoint.pop(out_id, None)
         if g is None:
             continue
         for v, dv in zip(node.inputs, node.vjp(g)):
             if dv is None:
                 continue
-            holders[v.node_id] = v
             acc = adjoint.get(v.node_id)
             if dv.ndim > v.data.ndim:
                 adjoint[v.node_id] = _fold(acc, dv)
             else:
                 adjoint[v.node_id] = dv if acc is None else acc + dv
-    for nid, g in adjoint.items():
-        h = holders[nid]
-        if h._grad is None:
-            h._grad = np.array(g)  # adjoints can alias; own the buffer
-        else:
-            h._grad += g
-
-
-def zero_grads(values) -> None:
-    for v in values:
-        v.zero_grad()
+    grads = [adjoint[v.node_id] if v.node_id in adjoint else np.zeros_like(v.data)
+             for v in wrt]
+    for g in grads:
+        g.flags.writeable = False
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +448,10 @@ def finite_diff_check(
                 p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
         else:
             randomize(rng)
-        zero_grads(params)
         with ComputationRecord() as rec:
             loss = f()
-        backward(loss, rec)
-        for p in params:
-            analytic = p.grad.copy().reshape(-1)
+        for p, grad in zip(params, backward(loss, rec, params)):
+            analytic = grad.reshape(-1)
             flat = p.data.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]

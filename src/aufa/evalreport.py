@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -37,12 +37,7 @@ class MetricsReport:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1, "auc": self.auc,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "n_subjects": self.n_subjects, "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def hard_metrics(pred_labels, true_labels) -> MetricsReport:
@@ -99,10 +94,7 @@ def full_report(pred_labels, scores, true_labels) -> MetricsReport:
     true = np.asarray(list(true_labels), dtype=int)
     auc_val = auc(scores, true) if 0 < true.sum() < true.size else None
     flags = base.flags + (("auc_undefined",) if auc_val is None else ())
-    return MetricsReport(accuracy=base.accuracy, precision=base.precision,
-                         recall=base.recall, f1=base.f1, auc=auc_val,
-                         tp=base.tp, fp=base.fp, tn=base.tn, fn=base.fn,
-                         n_subjects=base.n_subjects, flags=flags)
+    return replace(base, auc=auc_val, flags=flags)
 
 
 # ---------------------------------------------------------------------------

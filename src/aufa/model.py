@@ -61,14 +61,11 @@ def build_model(n_rois: int, n_layers: int, n_heads: int, ffn_hidden: int,
 
 
 def clone_model(model: Model) -> Model:
-    """Deep copy: fresh Values with copied data, zeroed grads."""
+    """Deep copy: fresh Values with copied data."""
     enc_values = {k: Value(v.data.copy()) for k, v in model.encoder.values.items()}
     clf_values = {k: Value(v.data.copy()) for k, v in model.classifier.values.items()}
-    return Model(
-        encoder=EncoderParams(model.encoder.config, enc_values),
-        classifier=ClassifierParams(model.classifier.n_inputs,
-                                    model.classifier.hidden, clf_values),
-    )
+    return Model(encoder=EncoderParams(model.encoder.config, enc_values),
+                 classifier=ClassifierParams(clf_values))
 
 
 MAGIC = b"AUFACKP1"
@@ -178,7 +175,7 @@ def load_checkpoint(path) -> Model:
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
     with open(path, "rb") as fh:
-        cfg, clf_hidden, entries, digest = _read_header(fh, path)
+        cfg, _, entries, digest = _read_header(fh, path)
         counts = [rows * cols for _, (rows, cols) in entries]
         expected = 8 * sum(counts)
         actual = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -204,7 +201,5 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"checkpoint parameter {name}: {exc}: {path}") from None
     enc_values = {k: v for k, v in values.items() if not k.startswith("clf.")}
     clf_values = {k: v for k, v in values.items() if k.startswith("clf.")}
-    return Model(
-        encoder=EncoderParams(cfg, enc_values),
-        classifier=ClassifierParams(cfg.d_model ** 2, clf_hidden, clf_values),
-    )
+    return Model(encoder=EncoderParams(cfg, enc_values),
+                 classifier=ClassifierParams(clf_values))

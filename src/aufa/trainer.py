@@ -23,7 +23,7 @@ from . import diffkernel as dk
 from .adaptation import (FilterMask, LossWeights, Prediction, classify,
                          confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from .connectome import Dataset
-from .diffkernel import ComputationRecord, Value, backward, zero_grads
+from .diffkernel import ComputationRecord, Value, backward
 from .encoder import AugmentInjection, EncoderConfig, encode_batch
 from .model import Model, build_model
 
@@ -124,7 +124,7 @@ def adam_step(params: dict[str, Value], grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[dict[str, Value], OptimizerState]:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update of `params`, in place; `grads` are only read."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
@@ -261,15 +261,13 @@ def _fcns(dataset: Dataset, indices) -> list:
 
 def _step(params: dict[str, Value], state: OptimizerState, config: TrainConfig,
           objective: Callable[[], tuple[Value, object]]) -> object:
-    """One update: record `objective()`, which returns (loss, stats),
-    backpropagate the loss from zeroed gradients, take an Adam step, and
-    return the stats."""
-    zero_grads(params.values())
+    """One update: record `objective()`, which returns (loss, stats), take
+    the loss's gradient for every parameter, take an Adam step, and return
+    the stats."""
     with ComputationRecord() as rec:
         loss, stats = objective()
-    backward(loss, rec)
-    # adam_step only reads gradients, so no copies needed
-    adam_step(params, {name: p.grad for name, p in params.items()}, state,
+    grads = backward(loss, rec, params.values())
+    adam_step(params, dict(zip(params, grads)), state,
               config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
     return stats
 

@@ -18,7 +18,7 @@ from aufa.adaptation import FilterMask, classify, mmd_loss, self_opt_loss
 from aufa.benchmark import benchmark_datasets, run_ablation
 from aufa.cli import main as cli_main
 from aufa.connectome import SiteSpec, TimeSeries, pearson_fcn, synth_multisite
-from aufa.diffkernel import ComputationRecord, Value, backward, zero_grads
+from aufa.diffkernel import ComputationRecord, Value, backward
 from aufa.encoder import AugmentInjection, encode, init_encoder, EncoderConfig
 from aufa.evalreport import (auc, betweenness_centrality, local_efficiency)
 from aufa.gradcheck import run_suite
@@ -179,14 +179,13 @@ def test_criterion_06_zero_weights_match_pure_source_training():
             rng.integers(cfg.n_layers)
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
-            zero_grads(params.values())
             with ComputationRecord() as rec:
                 rows = [encode(source.subjects[i].fcn, baseline.encoder)[0]
                         for i in batch.source_indices]
                 pred = classify(dk.concat_rows(rows), baseline.classifier)
                 loss = dk.cross_entropy(pred.logits, labels)
-            backward(loss, rec)
-            adam_step(params, {k: p.grad for k, p in params.items()}, state,
+            grads = backward(loss, rec, params.values())
+            adam_step(params, dict(zip(params, grads)), state,
                       cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     same = all(np.array_equal(v.data, params[k].data)

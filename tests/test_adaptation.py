@@ -37,6 +37,13 @@ def test_classify_zero_weights_uniform():
     assert np.array_equal(pred.probs.data, np.full((4, 2), 0.5))
 
 
+def test_classifier_widths_come_from_w1():
+    params = init_classifier(n_inputs=10, seed=0, hidden=6)
+    assert (params.n_inputs, params.hidden) == (10, 6)
+    params.values["clf.W1"] = Value(np.zeros((12, 3)))
+    assert (params.n_inputs, params.hidden) == (12, 3)
+
+
 def test_classify_probs_are_distributions():
     params = init_classifier(n_inputs=12, seed=1, hidden=8)
     pred = classify(Value(np.random.default_rng(1).normal(size=(5, 12))), params)
@@ -183,9 +190,8 @@ def test_self_opt_empty_mask_is_constant_zero():
     with ComputationRecord() as rec:
         loss = self_opt_loss(p, q, mask)
     assert loss.item() == 0.0
-    backward(loss, rec)
-    assert np.array_equal(p.probs.grad, np.zeros((1, 2)))
-    assert np.array_equal(q.probs.grad, np.zeros((1, 2)))
+    for g in backward(loss, rec, [p.probs, q.probs]):
+        assert np.array_equal(g, np.zeros((1, 2)))
 
 
 def symmetric_kl_oracle(p, q):
@@ -217,9 +223,8 @@ def test_self_opt_gradients_reach_both_sides():
         q = make_prediction([[0.5, 0.5]])
         q.probs = dk.row_softmax(zq, 1.0)
         loss = self_opt_loss(p, q, mask)
-    backward(loss, rec)
-    assert np.abs(zp.grad).max() > 0
-    assert np.abs(zq.grad).max() > 0
+    for g in backward(loss, rec, [zp, zq]):
+        assert np.abs(g).max() > 0
 
 
 def test_self_opt_only_kept_rows_counted():
@@ -286,12 +291,8 @@ def test_zero_weights_gradient_equals_cross_entropy_gradient():
     plist = params.all_values()
     with ComputationRecord() as rec:
         l_c, total = forward()
-    backward(total, rec)
-    joint_grads = [p.grad.copy() for p in plist]
-    for p in plist:
-        p.zero_grad()
+    joint_grads = backward(total, rec, plist)
     with ComputationRecord() as rec2:
         l_c2, _ = forward()
-    backward(l_c2, rec2)
-    for p, jg in zip(plist, joint_grads):
-        assert np.abs(p.grad - jg).max() <= 1e-12
+    for g, jg in zip(backward(l_c2, rec2, plist), joint_grads):
+        assert np.abs(g - jg).max() <= 1e-12

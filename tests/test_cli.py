@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,70 @@ def test_exit_code_runtime_failure(workspace, tmp_path):
     assert main(["eval", "--data", str(manifest),
                  "--checkpoint", str(workspace["pre_ckpt"]),
                  "--out", str(tmp_path / "e")]) == 1
+
+
+def _edit_manifest(edit):
+    def corrupt(manifest: Path) -> Path:
+        data = json.loads(manifest.read_text())
+        data = edit(data)
+        manifest.write_text(data if isinstance(data, str) else json.dumps(data))
+        return manifest
+    return corrupt
+
+
+def _drop_subject_key(key):
+    def edit(data):
+        del data["subjects"][1][key]
+        return data
+    return edit
+
+
+def _edit_first_csv(edit):
+    def corrupt(manifest: Path) -> Path:
+        entry = json.loads(manifest.read_text())["subjects"][0]
+        csv = manifest.parent / entry["path"]
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        edit(rows)
+        csv.write_text("".join(",".join(row) + "\n" for row in rows))
+        return csv
+    return corrupt
+
+
+def _set_cell(value):
+    def edit(rows):
+        rows[0][1] = value
+    return edit
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_edit_manifest(lambda d: "{not json"), "is not valid UTF-8 JSON"),
+    (_edit_manifest(lambda d: [d]), "the top level is not a JSON object"),
+    (_edit_manifest(lambda d: {k: v for k, v in d.items() if k != "n_rois"}),
+     "the top level lacks 'n_rois'"),
+    (_edit_manifest(lambda d: {k: v for k, v in d.items() if k != "subjects"}),
+     "the top level lacks 'subjects'"),
+    (_edit_manifest(lambda d: {**d, "n_rois": "six"}),
+     "the top level has an invalid 'n_rois': 'six'"),
+    (_edit_manifest(lambda d: {**d, "subjects": [7]}), "subject 0 is not a JSON object"),
+    (_edit_manifest(lambda d: {**d, "subjects": [{**d["subjects"][0], "label": "x"}]}),
+     "has an invalid 'label': 'x'"),
+    (_edit_manifest(_drop_subject_key("id")), "subject 1 lacks 'id'"),
+    (_edit_manifest(_drop_subject_key("path")), "lacks 'path'"),
+    (_edit_first_csv(_set_cell("abc")), "non-numeric cell 'abc'"),
+    (_edit_first_csv(_set_cell("0.123")), "not symmetric"),
+], ids=["not-json", "not-object", "no-n_rois", "no-subjects", "n_rois-not-int",
+        "subject-not-object", "label-not-int", "no-id", "no-path", "non-numeric-cell",
+        "asymmetric-matrix"])
+def test_exit_code_malformed_dataset(workspace, tmp_path, capsys, corrupt, message):
+    data = tmp_path / "source"
+    shutil.copytree(workspace["source"].parent, data)
+    named = corrupt(data / "manifest.json").resolve()
+    out = tmp_path / "out"
+    assert main(["pretrain", "--source", str(data / "manifest.json"),
+                 "--out", str(out), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(named) in err
+    assert not (out / "run_manifest.json").exists()
 
 
 @pytest.fixture(scope="module")

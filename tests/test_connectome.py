@@ -55,8 +55,9 @@ def test_load_timeseries_missing_file(tmp_path):
 def test_load_timeseries_too_short(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("1,2\n3,4\n")
-    with pytest.raises(DataError, match="3 time points"):
+    with pytest.raises(DataError, match="3 time points") as exc:
         load_timeseries(p)
+    assert str(p) in str(exc.value)
 
 
 def test_timeseries_validation():

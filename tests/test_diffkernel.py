@@ -36,17 +36,12 @@ def test_value_accepts_finite_data_whose_sum_overflows():
     assert Value(np.array([[-1e308], [-1e308]])).shape == (2, 1)
 
 
-def test_grad_starts_at_zero():
-    v = Value(rand((2, 3)))
-    assert np.array_equal(v.grad, np.zeros((2, 3)))
-
-
 def test_backward_requires_scalar_loss():
     x = Value(rand((2, 2)))
     with ComputationRecord() as rec:
         y = dk.relu(x)
     with pytest.raises(ValueError):
-        backward(y, rec)
+        backward(y, rec, [x])
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +207,8 @@ def test_select_rows_backward_accumulates_repeats():
     with ComputationRecord() as rec:
         y = dk.select_rows(x, [1, 1, 0])
         loss = dk.sum_all(y)
-    backward(loss, rec)
-    assert np.array_equal(x.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+    (gx,) = backward(loss, rec, [x])
+    assert np.array_equal(gx, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +311,8 @@ def test_backward_sum_gives_ones():
     x = Value(rand((3, 4), seed=5))
     with ComputationRecord() as rec:
         loss = dk.sum_all(x)
-    backward(loss, rec)
-    assert np.array_equal(x.grad, np.ones((3, 4)))
+    (gx,) = backward(loss, rec, [x])
+    assert np.array_equal(gx, np.ones((3, 4)))
 
 
 def test_backward_sum_matmul_constant():
@@ -325,21 +320,49 @@ def test_backward_sum_matmul_constant():
     c = Value(rand((4, 2), seed=7))
     with ComputationRecord() as rec:
         loss = dk.sum_all(dk.matmul(x, c))
-    backward(loss, rec)
+    (gx,) = backward(loss, rec, [x])
     row_sums = c.data.sum(axis=1)
-    assert np.abs(x.grad - np.tile(row_sums, (3, 1))).max() < 1e-14
+    assert np.abs(gx - np.tile(row_sums, (3, 1))).max() < 1e-14
 
 
-def test_backward_twice_accumulates_exactly_double():
+def test_backward_is_pure():
+    """Two calls on one record return the same bits and write no Value."""
     x = Value(rand((2, 3), seed=8))
     w = Value(rand((3, 3), seed=9))
     with ComputationRecord() as rec:
-        loss = dk.sum_squares(dk.relu(dk.matmul(x, w)))
-    backward(loss, rec)
-    once = {id(v): v.grad.copy() for v in (x, w)}
-    backward(loss, rec)
-    for v in (x, w):
-        assert np.array_equal(v.grad, 2.0 * once[id(v)])
+        loss = dk.add(dk.sum_squares(dk.relu(dk.matmul(x, w))), dk.sum_all(x))
+    values = [v for node in rec.nodes for v in (*node.inputs, node.output)]
+    before = [v.data.copy() for v in values]
+    first = backward(loss, rec, [x, w])
+    second = backward(loss, rec, [x, w])
+    for a, b in zip(first, second):
+        assert a is not b
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    for v, data in zip(values, before):
+        assert np.array_equal(v.data.view(np.uint64), data.view(np.uint64))
+    assert set(Value.__slots__) == {"data", "node_id"}  # no gradient state
+
+
+def test_backward_returns_read_only_gradients_in_wrt_order():
+    x = Value(rand((2, 2), seed=16))
+    w = Value(rand((2, 2), seed=17))
+    with ComputationRecord() as rec:
+        h = dk.matmul(x, w)
+        probs = dk.row_softmax(h, 1.0)
+        loss = dk.cross_entropy(dk.scale(probs, 2.0), [0, 1])
+    g_probs, g_w, g_x, g_h = backward(loss, rec, [probs, w, x, h])
+    assert [g.shape for g in (g_probs, g_w, g_x, g_h)] == [(2, 2)] * 4
+    # the chain rule through the returned intermediates
+    y = probs.data
+    assert np.array_equal(g_h, y * (g_probs - (g_probs * y).sum(axis=-1, keepdims=True)))
+    assert np.array_equal(g_w, x.data.T @ g_h)
+    assert np.array_equal(g_x, g_h @ w.data.T)
+    reversed_order = backward(loss, rec, [h, x, w, probs])
+    for a, b in zip(reversed_order, (g_h, g_x, g_w, g_probs)):
+        assert np.array_equal(a, b)
+    for g in (g_probs, g_w, g_x, g_h):
+        with pytest.raises(ValueError, match="read-only"):
+            g += 1.0
 
 
 def test_backward_untouched_parameter_keeps_zero_grad():
@@ -347,8 +370,9 @@ def test_backward_untouched_parameter_keeps_zero_grad():
     unused = Value(rand((2, 2), seed=11))
     with ComputationRecord() as rec:
         loss = dk.sum_all(dk.relu(x))
-    backward(loss, rec)
-    assert np.array_equal(unused.grad, np.zeros((2, 2)))
+    _, g_unused = backward(loss, rec, [x, unused])
+    assert np.array_equal(g_unused, np.zeros((2, 2)))
+    assert not np.signbit(g_unused).any()  # exact +0.0, not -0.0
 
 
 def test_separate_backwards_match_joint():
@@ -358,14 +382,9 @@ def test_separate_backwards_match_joint():
         a = dk.sum_squares(dk.relu(x))
         b = dk.sum_all(dk.matmul(x, x))
         total = dk.add(a, b)
-    backward(total, rec)
-    joint = x.grad.copy()
-    x.zero_grad()
-    backward(a, rec)
-    ga = x.grad.copy()
-    x.zero_grad()
-    backward(b, rec)
-    gb = x.grad.copy()
+    (joint,) = backward(total, rec, [x])
+    (ga,) = backward(a, rec, [x])
+    (gb,) = backward(b, rec, [x])
     assert np.abs(joint - (ga + gb)).max() < 1e-12
 
 
@@ -391,11 +410,10 @@ def test_finite_diff_independent_parameter():
     err = finite_diff_check(lambda: dk.sum_squares(x), [x, unused], seeds=2)
     assert err <= 1e-8
     # analytic gradient of the unused parameter is exactly zero
-    unused.zero_grad()
     with ComputationRecord() as rec:
         loss = dk.sum_squares(x)
-    backward(loss, rec)
-    assert np.array_equal(unused.grad, np.zeros((2, 2)))
+    (g_unused,) = backward(loss, rec, [unused])
+    assert np.array_equal(g_unused, np.zeros((2, 2)))
 
 
 def test_finite_diff_rejects_bad_step():
@@ -456,11 +474,9 @@ def test_stacked_parameter_gradients_fold_in_reverse_subject_order(batch):
         return dk.row_layer_norm(h, gain, offset)
 
     def grads(loss_of):
-        dk.zero_grads(params)
         with ComputationRecord() as rec:
             loss = loss_of()
-        backward(loss, rec)
-        return [p.grad.copy() for p in params]
+        return backward(loss, rec, params)
 
     stacked = grads(lambda: dk.sum_squares(dk.flatten(body(Value(xs)))))
     per_subject = grads(lambda: dk.sum_squares(
@@ -495,8 +511,8 @@ def test_permute_backward_is_exact_inverse_and_keeps_negative_zero():
         y = dk.permute(x, [2, 0, 1])
         loss = dk.sum_all(dk.scale(y, -0.0))
     assert np.array_equal(y.data, x.data[[2, 0, 1]])
-    backward(loss, rec)
-    assert np.signbit(x.grad).all()  # -0.0 everywhere, as scale's vjp gave it
+    (gx,) = backward(loss, rec, [x])
+    assert np.signbit(gx).all()  # -0.0 everywhere, as scale's vjp gave it
     with pytest.raises(ValueError, match="permutation"):
         dk.permute(x, [0, 0, 1])
 

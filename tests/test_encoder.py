@@ -323,11 +323,9 @@ def test_encode_batch_rejects_mismatched_partner_stack():
 
 def _classifier_gradients(model, loss_of):
     params = model.param_dict()
-    dk.zero_grads(params.values())
     with dk.ComputationRecord() as rec:
         loss = loss_of()
-    dk.backward(loss, rec)
-    return {name: p.grad.copy() for name, p in params.items()}
+    return dict(zip(params, dk.backward(loss, rec, params.values())))
 
 
 @pytest.mark.parametrize("batch", [1, 4, 32])

@@ -520,3 +520,16 @@ def test_predict_dataset_collects_maps():
 def test_full_report_includes_auc():
     rep = full_report([1, 0, 1], [0.8, 0.3, 0.7], [1, 0, 0])
     assert rep.auc == auc([0.8, 0.3, 0.7], [1, 0, 0])
+
+
+def test_report_dict_keeps_field_order_and_lists_flags():
+    # one class only: AUC is undefined and flagged after the hard-metric flags
+    rep = full_report([0, 0], [0.2, 0.4], [1, 1])
+    d = rep.to_dict()
+    assert list(d) == ["accuracy", "precision", "recall", "f1", "auc", "tp", "fp",
+                       "tn", "fn", "n_subjects", "flags"]
+    assert d["auc"] is None
+    assert d["flags"] == ["precision_undefined", "f1_undefined", "auc_undefined"]
+    base = hard_metrics([0, 0], [1, 1]).to_dict()
+    assert {k: v for k, v in d.items() if k not in ("auc", "flags")} == \
+        {k: v for k, v in base.items() if k not in ("auc", "flags")}

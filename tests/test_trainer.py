@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from aufa import diffkernel as dk
 from aufa.adaptation import classify, mmd_loss, self_opt_loss, confidence_filter
 from aufa.connectome import SiteSpec, synth_multisite
-from aufa.diffkernel import ComputationRecord, Value, backward, zero_grads
+from aufa.diffkernel import ComputationRecord, Value, backward
 from aufa.model import build_model, clone_model, load_checkpoint, save_checkpoint
 from aufa.trainer import (GammaPolicy, OptimizerState, RunLog, TrainConfig,
                           adam_step, adapt, pretrain, sample_paired_batches,
@@ -65,6 +65,20 @@ def test_adam_zero_gradient_no_move():
     adam_step(p, {"w": np.zeros((2, 2))}, state, lr=0.1)
     assert np.array_equal(p["w"].data, np.ones((2, 2)))
     assert state.t == 1
+
+
+def test_adam_reads_gradients_without_writing_them():
+    # backward may hand one array to several parameters (add's vjp does)
+    rng = np.random.default_rng(3)
+    p = {"a": Value(rng.normal(size=(2, 3))), "b": Value(rng.normal(size=(2, 3)))}
+    g = rng.normal(size=(2, 3))
+    before = g.copy()
+    state = OptimizerState()
+    for _ in range(3):
+        adam_step(p, {"a": g, "b": g}, state, lr=0.01)
+    assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
+    for buffers in (state.m, state.v):
+        assert np.array_equal(buffers["a"].view(np.uint64), buffers["b"].view(np.uint64))
 
 
 def adam_scalar_reference(x0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -259,15 +273,14 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
             rng.integers(cfg.n_layers)
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
-            zero_grads(params.values())
             with ComputationRecord() as rec:
                 rows = [__import__("aufa.encoder", fromlist=["encode"]).encode(
                     source.subjects[i].fcn, model_b.encoder)[0]
                     for i in batch.source_indices]
                 pred = classify(dk.concat_rows(rows), model_b.classifier)
                 loss = dk.cross_entropy(pred.logits, labels)
-            backward(loss, rec)
-            adam_step(params, {k: p.grad for k, p in params.items()}, state,
+            grads = backward(loss, rec, params.values())
+            adam_step(params, dict(zip(params, grads)), state,
                       cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     for name, v in model_a.param_dict().items():
@@ -334,19 +347,15 @@ def test_joint_backward_equals_sum_of_parts():
         l_a = self_opt_loss(pred_t, pred_a, mask)
         return l_c, l_m, l_a
 
-    zero_grads(params.values())
     with ComputationRecord() as rec:
         l_c, l_m, l_a = forward()
         total = dk.add(dk.add(l_c, l_m), l_a)
-    backward(total, rec)
-    joint = {k: p.grad.copy() for k, p in params.items()}
+    joint = dict(zip(params, backward(total, rec, params.values())))
 
     parts = {}
     for term in (l_c, l_m, l_a):
-        zero_grads(params.values())
-        backward(term, rec)
-        for k, p in params.items():
-            parts[k] = parts.get(k, 0.0) + p.grad
+        for k, g in zip(params, backward(term, rec, params.values())):
+            parts[k] = parts.get(k, 0.0) + g
     for k in params:
         assert np.abs(joint[k] - parts[k]).max() <= 1e-10, k
 
@@ -426,13 +435,11 @@ def test_identical_batches_give_identical_deltas():
 
     def one_step(m, state):
         p = m.param_dict()
-        zero_grads(p.values())
         with ComputationRecord() as rec:
             rows = [encode(source.subjects[i].fcn, m.encoder)[0] for i in batch]
             pred = classify(dk.concat_rows(rows), m.classifier)
             loss = dk.cross_entropy(pred.logits, labels)
-        backward(loss, rec)
-        adam_step(p, {k: v.grad for k, v in p.items()}, state, cfg.lr)
+        adam_step(p, dict(zip(p, backward(loss, rec, p.values()))), state, cfg.lr)
 
     state = OptimizerState()
     one_step(model, state)
