@@ -76,7 +76,7 @@ def classify(f: Value, params: ClassifierParams) -> Prediction:
     if f.shape[1] != params.n_inputs:
         raise ValueError(
             f"classifier expects {params.n_inputs} inputs, got {f.shape[1]}")
-    f1 = dk.relu(dk.affine(f, params["clf.W1"], params["clf.b1"]))
+    f1 = dk.affine(f, params["clf.W1"], params["clf.b1"], relu=True)
     logits = dk.affine(f1, params["clf.W2"], params["clf.b2"])
     probs = dk.row_softmax(logits, scale=1.0)
     return Prediction(logits=logits, probs=probs, fc_features=[f1, logits])

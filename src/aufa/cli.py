@@ -187,6 +187,9 @@ def _execute(request: dict, out_dir: Path) -> int:
     cmd = request["command"]
     inputs = request["inputs"]
     params = request["params"]
+    # a malformed dataset fails here, before the output directory exists
+    datasets = {key: load_dataset(inputs[key])
+                for key in ("source", "target", "data") if key in inputs}
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
@@ -212,30 +215,26 @@ def _execute(request: dict, out_dir: Path) -> int:
 
     elif cmd in ("pretrain", "adapt"):
         config = TrainConfig.from_dict(params["config"])
-        source = load_dataset(inputs["source"])
         if cmd == "pretrain":
-            model, _, log = pretrain(source, config)
+            model, _, log = pretrain(datasets["source"], config)
         else:
-            target = load_dataset(inputs["target"])
             model = load_checkpoint(inputs["checkpoint"])
-            model, log = adapt(model, source, target, config)
+            model, log = adapt(model, datasets["source"], datasets["target"], config)
         save_checkpoint(model, out_dir / "checkpoint.bin")
         log.save(out_dir / "runlog.jsonl")
         _write_json(config.to_dict(), out_dir / "config.json")
         outputs += ["checkpoint.bin", "runlog.jsonl", "config.json"]
 
     elif cmd == "eval":
-        dataset = load_dataset(inputs["data"])
         model = load_checkpoint(inputs["checkpoint"])
-        report = evaluate_model(model, dataset)
+        report = evaluate_model(model, datasets["data"])
         _write_json(report.to_dict(), out_dir / "metrics.json")
         print(json.dumps(report.to_dict(), indent=2))
         outputs.append("metrics.json")
 
     elif cmd == "attn-top":
-        dataset = load_dataset(inputs["data"])
         model = load_checkpoint(inputs["checkpoint"])
-        _, _, maps = predict_dataset(model, dataset, with_maps=True)
+        _, _, maps = predict_dataset(model, datasets["data"], with_maps=True)
         ranking = aggregate_attention(maps)
         top = ranking.top(params["k"])
         ConnectionRanking(tuple(top)).write_csv(out_dir / "connections.csv")
@@ -244,9 +243,8 @@ def _execute(request: dict, out_dir: Path) -> int:
         outputs.append("connections.csv")
 
     elif cmd == "export-features":
-        dataset = load_dataset(inputs["data"])
         model = load_checkpoint(inputs["checkpoint"]) if "checkpoint" in inputs else None
-        table = export_features(dataset, params["mode"], model)
+        table = export_features(datasets["data"], params["mode"], model)
         table.write_csv(out_dir / "features.csv")
         outputs.append("features.csv")
 
@@ -264,9 +262,8 @@ def _execute(request: dict, out_dir: Path) -> int:
 
     elif cmd == "ablate":
         config = TrainConfig.from_dict(params["config"])
-        source = load_dataset(inputs["source"])
-        target = load_dataset(inputs["target"])
-        result = bm.run_ablation(source, target, config, seeds=params["seeds"])
+        result = bm.run_ablation(datasets["source"], datasets["target"], config,
+                                 seeds=params["seeds"])
         rows = result.table_rows()
         _write_json({"seeds": list(result.seeds), "rows": rows},
                     out_dir / "ablation.json")

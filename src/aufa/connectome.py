@@ -321,10 +321,13 @@ def load_dataset(manifest_path) -> Dataset:
                             f"{key!r}: {entry[key]!r}") from None
 
     n_rois = field(manifest, "n_rois", "the top level", int)
+    entries = field(manifest, "subjects", "the top level", list)
+    if not entries:
+        raise DataError(f"dataset manifest {manifest_path}: 'subjects' is empty")
     root = manifest_path.parent
     subjects = []
     seen: set[str] = set()
-    for k, entry in enumerate(field(manifest, "subjects", "the top level", list)):
+    for k, entry in enumerate(entries):
         sid = field(entry, "id", f"subject {k}", str)
         if sid in seen:
             raise DataError(f"duplicate subject_id {sid!r} in {manifest_path}")

@@ -2,9 +2,11 @@
 
 Every value is a float64 matrix: either 2-D (scalars are 1x1) or a stack
 of B equal-shape matrices, shape (B, r, c), one per subject. The encoder
-ops (matmul, transpose, add, sub, scale, relu, affine, concat_cols,
-row_softmax, row_layer_norm, flatten, permute) act on the last two axes,
-so one node serves a whole stack; the other ops take 2-D matrices.
+ops (matmul, transpose, add, sub, scale, affine, concat_cols, row_softmax,
+row_layer_norm, flatten, permute) act on the last two axes, so one node
+serves a whole stack; the other ops take 2-D matrices. ReLU is not an op
+of its own: `affine(..., relu=True)` applies it to the dense layer's
+output buffer in place, one node and one array for dense+ReLU.
 
 When a 2-D value (a weight) meets a stack, the op's vjp returns one
 partial gradient per subject, and backward() folds them into the value's
@@ -17,8 +19,13 @@ creation order. backward(loss, record, wrt) replays the record in exact
 reverse order and returns d(loss)/d(v) for each v in wrt. It is pure: it
 writes to no Value and keeps no state, so calling it twice gives the same
 bits. The returned arrays are read-only and may share memory with one
-another (add's vjp hands one cotangent to both inputs). Without an active
+another (add's vjp hands one cotangent to both inputs). backward sums a
+value's adjoint in place only once it holds an array that backward itself
+allocated; it never writes into an array a vjp returned. Without an active
 record, operations run as plain forward evaluation.
+
+An op whose output is not finite raises a ValueError naming the op and
+the output's shape.
 """
 
 from __future__ import annotations
@@ -100,19 +107,32 @@ class ComputationRecord:
 _ACTIVE: list[ComputationRecord] = []
 
 
+def _non_finite(op: str, data: np.ndarray) -> ValueError:
+    return ValueError(f"{op} produced non-finite data of shape {data.shape}")
+
+
 def _emit(op: str, inputs: tuple[Value, ...], out_data: np.ndarray, vjp) -> Value:
-    out = Value(out_data)
+    try:
+        out = Value(out_data)
+    except ValueError:  # every op returns a 2-D or 3-D array, so not finite
+        raise _non_finite(op, out_data) from None
     if _ACTIVE:
         _ACTIVE[-1].nodes.append(_Node(op, inputs, out, vjp))
     return out
 
 
-def _fold(acc: np.ndarray | None, parts: np.ndarray) -> np.ndarray:
+def _fold(acc: np.ndarray | None, parts: np.ndarray, in_place: bool) -> np.ndarray:
     """acc + parts[B-1] + ... + parts[0] for per-subject partials `parts`,
     added strictly left to right: the order in which per-subject nodes,
     met last subject first, would accumulate them. (A numpy reduction may
-    sum pairwise or reorder the subjects.)"""
-    out = parts[-1].copy() if acc is None else acc + parts[-1]
+    sum pairwise or reorder the subjects.) Sums into `acc` if `in_place`."""
+    if acc is None:
+        out = parts[-1].copy()
+    elif in_place:
+        out = acc
+        out += parts[-1]
+    else:
+        out = acc + parts[-1]
     for s in parts[-2::-1]:
         out += s
     return out
@@ -132,6 +152,9 @@ def backward(loss: Value, record: ComputationRecord,
     wrt = list(wrt)
     wanted = {v.node_id for v in wrt}
     adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
+    # ids whose adjoint is an array allocated here, not a vjp's output
+    # (which may be shared), so further contributions may go in with +=
+    owned: set[int] = set()
     for node in reversed(record.nodes):
         # every consumer of this output came later, so its adjoint is final
         out_id = node.output.node_id
@@ -141,11 +164,19 @@ def backward(loss: Value, record: ComputationRecord,
         for v, dv in zip(node.inputs, node.vjp(g)):
             if dv is None:
                 continue
-            acc = adjoint.get(v.node_id)
+            vid = v.node_id
+            acc = adjoint.get(vid)
             if dv.ndim > v.data.ndim:
-                adjoint[v.node_id] = _fold(acc, dv)
+                acc = _fold(acc, dv, vid in owned)
+            elif acc is None:
+                adjoint[vid] = dv
+                continue
+            elif vid in owned:
+                acc += dv
             else:
-                adjoint[v.node_id] = dv if acc is None else acc + dv
+                acc = acc + dv
+            adjoint[vid] = acc
+            owned.add(vid)
     grads = [adjoint[v.node_id] if v.node_id in adjoint else np.zeros_like(v.data)
              for v in wrt]
     for g in grads:
@@ -199,24 +230,35 @@ def scale(x: Value, c: float) -> Value:
     return _emit("scale", (x,), c * x.data, lambda g: (c * g,))
 
 
-def relu(x: Value) -> Value:
-    mask = x.data > 0
+def affine(x: Value, w: Value, bias: Value, relu: bool = False) -> Value:
+    """x @ w + bias, with bias a 1xN row broadcast over the rows of x; with
+    `relu`, max(0, x @ w + bias) as one node.
 
-    def vjp(g):
-        return (g * mask,)
-
-    return _emit("relu", (x,), np.where(mask, x.data, 0.0), vjp)
-
-
-def affine(x: Value, w: Value, bias: Value) -> Value:
-    """x @ w + bias, with bias a 1xN row broadcast over the rows of x."""
+    The bias and the ReLU are applied in the GEMM's output buffer, so a
+    dense layer allocates one array. ReLU is max(pre, 0) and then + 0.0,
+    which turns a -0.0 into +0.0 and leaves every other finite value
+    alone: exactly np.where(pre > 0, pre, 0.0), without a masked copy
+    (slow on a data-dependent mask). Its vjp masks the cotangent as
+    g * (pre > 0). A non-finite pre-activation raises naming `affine`
+    before ReLU could hide it.
+    """
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine dimension mismatch: {x.shape} x {w.shape}")
     if bias.shape != (1, w.shape[1]):
         raise ValueError(f"affine bias must be 1x{w.shape[1]}, got {bias.shape}")
-    out = x.data @ w.data + bias.data
+    out = x.data @ w.data
+    out += bias.data
+    mask = None
+    if relu:
+        if not np.isfinite(out).all():
+            raise _non_finite("affine", out)
+        np.maximum(out, 0.0, out=out)
+        out += 0.0
+        mask = out > 0
 
     def vjp(g):
+        if mask is not None:
+            g = g * mask
         return g @ w.data.T, _swap(x.data) @ g, g.sum(axis=-2, keepdims=True)
 
     return _emit("affine", (x, w, bias), out, vjp)

@@ -179,7 +179,7 @@ def multi_head_layer(z: Value, params: EncoderParams, layer: int,
 def feed_forward(z: Value, params: EncoderParams, layer: int) -> Value:
     cfg = params.config
     p = f"layer{layer}"
-    hidden = dk.relu(dk.affine(z, params[f"{p}.W1"], params[f"{p}.b1"]))
+    hidden = dk.affine(z, params[f"{p}.W1"], params[f"{p}.b1"], relu=True)
     out = dk.affine(hidden, params[f"{p}.W2"], params[f"{p}.b2"])
     return dk.row_layer_norm(out, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], cfg.ln_eps)
 

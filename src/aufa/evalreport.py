@@ -101,20 +101,24 @@ def full_report(pred_labels, scores, true_labels) -> MetricsReport:
 # model-level evaluation
 
 
-# Subjects per encoder stack in eval and export. Every layer's
-# intermediates grow with it: at 116 regions and 32 subjects, peak RSS was
-# 121 MB at 4, 125 MB at 8 and 148 MB at 32 (one stack), against 123 MB
-# encoding one subject at a time (2 cores, BLAS on one thread); the time
-# per request did not differ measurably between slice sizes.
-EVAL_SLICE = 4
+# Input elements (subjects x regions^2) per encoder stack in eval and
+# export; every layer's intermediates grow with the stack. At 116 regions
+# this is 4 subjects: with 32 subjects, peak RSS was 121 MB at 4, 125 MB at
+# 8 and 148 MB at 32 (one stack), against 123 MB encoding one subject at a
+# time (2 cores, BLAS on one thread), and the time per request did not
+# differ measurably. At 16 regions a whole 150-subject cohort is one stack.
+# Each subject's rows are the same bits at any stack size.
+EVAL_BUDGET = 4 * 116 * 116
 
 
 def _encode_cohort(model: Model, dataset: Dataset,
                    maps: list[AttentionMaps] | None = None) -> Value:
-    """Graph feature rows of every subject, encoded EVAL_SLICE at a time."""
+    """Graph feature rows of every subject, in stacks of EVAL_BUDGET input
+    elements (at least one subject each)."""
     xs = [s.fcn for s in dataset.subjects]
-    return dk.concat_rows([encode_batch(xs[i:i + EVAL_SLICE], model.encoder, maps=maps)
-                           for i in range(0, len(xs), EVAL_SLICE)])
+    size = max(1, EVAL_BUDGET // dataset.n_rois ** 2)
+    return dk.concat_rows([encode_batch(xs[i:i + size], model.encoder, maps=maps)
+                           for i in range(0, len(xs), size)])
 
 
 def predict_dataset(model: Model, dataset: Dataset, with_maps: bool = False):

@@ -30,7 +30,11 @@ def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
     x34 = Value(np.zeros((3, 4)))
     run("transpose", lambda: dk.sum_squares(dk.transpose(x34)), [x34])
     run("row_softmax", lambda: dk.sum_squares(dk.row_softmax(x34, scale=0.7)), [x34])
-    run("relu", lambda: dk.sum_squares(dk.relu(x34)), [x34])
+    w = Value(np.zeros((4, 3)))
+    bias = Value(np.zeros((1, 3)))
+    x24 = Value(np.zeros((2, 4)))
+    run("affine_relu", lambda: dk.sum_squares(dk.affine(x24, w, bias, relu=True)),
+        [x24, w, bias])
     run("flatten", lambda: dk.sum_squares(dk.flatten(x34)), [x34])
     run("col_sum", lambda: dk.sum_squares(dk.col_sum(x34)), [x34])
     run("sum_all", lambda: dk.sum_squares(dk.sum_all(x34)), [x34])
@@ -57,9 +61,6 @@ def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
         lambda: dk.sum_squares(dk.row_layer_norm(x46, g16, b16, eps=1e-5)),
         [x46, g16, b16], randomize=randomize_ln)
 
-    w = Value(np.zeros((4, 3)))
-    bias = Value(np.zeros((1, 3)))
-    x24 = Value(np.zeros((2, 4)))
     run("affine", lambda: dk.sum_squares(dk.affine(x24, w, bias)), [x24, w, bias])
 
     logits = Value(np.zeros((4, 2)))

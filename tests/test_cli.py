@@ -225,9 +225,10 @@ def _set_cell(value):
     (_edit_manifest(_drop_subject_key("path")), "lacks 'path'"),
     (_edit_first_csv(_set_cell("abc")), "non-numeric cell 'abc'"),
     (_edit_first_csv(_set_cell("0.123")), "not symmetric"),
+    (_edit_manifest(lambda d: {**d, "subjects": []}), "'subjects' is empty"),
 ], ids=["not-json", "not-object", "no-n_rois", "no-subjects", "n_rois-not-int",
         "subject-not-object", "label-not-int", "no-id", "no-path", "non-numeric-cell",
-        "asymmetric-matrix"])
+        "asymmetric-matrix", "no-subject-entries"])
 def test_exit_code_malformed_dataset(workspace, tmp_path, capsys, corrupt, message):
     data = tmp_path / "source"
     shutil.copytree(workspace["source"].parent, data)
@@ -237,7 +238,7 @@ def test_exit_code_malformed_dataset(workspace, tmp_path, capsys, corrupt, messa
                  "--out", str(out), *TRAIN_FLAGS]) == 2
     err = capsys.readouterr().err
     assert message in err and str(named) in err
-    assert not (out / "run_manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

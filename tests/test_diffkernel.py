@@ -14,6 +14,12 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, shape)
 
 
+def relu(x):
+    """ReLU through the fused op: identity weights, zero bias."""
+    n = x.shape[-1]
+    return dk.affine(x, Value(np.eye(n)), Value(np.zeros((1, n))), relu=True)
+
+
 # ---------------------------------------------------------------------------
 # Value / record basics
 
@@ -39,7 +45,7 @@ def test_value_accepts_finite_data_whose_sum_overflows():
 def test_backward_requires_scalar_loss():
     x = Value(rand((2, 2)))
     with ComputationRecord() as rec:
-        y = dk.relu(x)
+        y = relu(x)
     with pytest.raises(ValueError):
         backward(y, rec, [x])
 
@@ -173,12 +179,62 @@ def test_layer_norm_gradient():
 
 
 # ---------------------------------------------------------------------------
-# relu / affine / concat / flatten
+# affine (with and without ReLU) / concat / flatten
 
 
 def test_relu_values():
-    out = dk.relu(Value(np.array([[-1.0, 0.0, 2.0]])))
-    assert np.array_equal(out.data, np.array([[0.0, 0.0, 2.0]]))
+    out = relu(Value(np.array([[-1.0, 0.0, -0.0, 2.0]])))
+    assert np.array_equal(out.data, np.array([[0.0, 0.0, 0.0, 2.0]]))
+    assert not np.signbit(out.data).any()  # +0.0 where the input was not positive
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+def test_affine_relu_is_bitwise_where_of_the_dense_layer(shape):
+    """One fused node gives bitwise np.where(pre > 0, pre, 0) forward and
+    the masked dense-layer vjp backward, at exact and signed zeros too."""
+    rng = np.random.default_rng(40)
+    x = Value(rng.uniform(-1, 1, shape))
+    w_data = rng.uniform(-1, 1, (5, 6))
+    w_data[:, 0] = 0.0                       # pre-activation exactly the bias
+    w = Value(w_data)
+    bias = Value(np.array([[-0.0, 0.0, 0.3, -0.3, 0.0, 0.1]]))
+    c = Value(rng.uniform(-1, 1, shape[:-1] + (6,)))
+    with ComputationRecord() as rec:
+        h = dk.affine(x, w, bias, relu=True)
+        loss = dk.sum_squares(dk.sub(h, c))
+    pre = x.data @ w.data + bias.data
+    want = np.where(pre > 0, pre, 0.0)
+    assert np.array_equal(h.data.view(np.uint64), want.view(np.uint64))
+    assert [n.op for n in rec.nodes] == ["affine", "sub", "sum_squares"]
+    g_h, g_x, g_w, g_b = backward(loss, rec, [h, x, w, bias])
+    gp = g_h * (pre > 0)                     # -0.0 where a negative g is masked
+    assert np.signbit(gp[pre <= 0]).any()
+    assert np.array_equal(g_x.view(np.uint64), (gp @ w.data.T).view(np.uint64))
+    xs, gps = x.data.reshape((-1,) + shape[-2:]), gp.reshape((-1, shape[-2], 6))
+    want_w = xs[-1].T @ gps[-1]
+    want_b = gps[-1].sum(axis=0, keepdims=True)
+    for xk, gk in zip(xs[-2::-1], gps[-2::-1]):  # backward folds subjects last first
+        want_w += xk.T @ gk
+        want_b += gk.sum(axis=0, keepdims=True)
+    assert np.array_equal(g_w.view(np.uint64), want_w.view(np.uint64))
+    assert np.array_equal(g_b.view(np.uint64), want_b.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in matmul
+def test_non_finite_output_names_the_op_and_shape():
+    zero = Value(np.zeros((1, 1)))
+    # +inf; -inf, which ReLU alone would turn into 0; and inf - inf = nan
+    for row, sign in (([1.0, 1.0], 1.0), ([1.0, 1.0], -1.0), ([2.0, -2.0], 1.0)):
+        x = Value(np.array([row, [0.5, 0.5]]))
+        w = Value(np.array([[sign * 1e308], [sign * 1e308]]))
+        for fused in (False, True):
+            with pytest.raises(ValueError,
+                               match=r"affine produced non-finite data of shape \(2, 1\)"):
+                dk.affine(x, w, zero, relu=fused)
+    with pytest.raises(ValueError, match=r"scale produced non-finite data of shape \(1, 2\)"):
+        dk.scale(Value(np.array([[1e308, 1.0]])), 10.0)
+    with pytest.raises(ValueError, match="Value data must be finite"):
+        Value(np.array([[np.nan]]))
 
 
 def test_affine_zero_weights_replicates_bias():
@@ -330,7 +386,7 @@ def test_backward_is_pure():
     x = Value(rand((2, 3), seed=8))
     w = Value(rand((3, 3), seed=9))
     with ComputationRecord() as rec:
-        loss = dk.add(dk.sum_squares(dk.relu(dk.matmul(x, w))), dk.sum_all(x))
+        loss = dk.add(dk.sum_squares(relu(dk.matmul(x, w))), dk.sum_all(x))
     values = [v for node in rec.nodes for v in (*node.inputs, node.output)]
     before = [v.data.copy() for v in values]
     first = backward(loss, rec, [x, w])
@@ -369,7 +425,7 @@ def test_backward_untouched_parameter_keeps_zero_grad():
     x = Value(rand((2, 2), seed=10))
     unused = Value(rand((2, 2), seed=11))
     with ComputationRecord() as rec:
-        loss = dk.sum_all(dk.relu(x))
+        loss = dk.sum_all(relu(x))
     _, g_unused = backward(loss, rec, [x, unused])
     assert np.array_equal(g_unused, np.zeros((2, 2)))
     assert not np.signbit(g_unused).any()  # exact +0.0, not -0.0
@@ -379,13 +435,72 @@ def test_separate_backwards_match_joint():
     # grad of (a + b) via one backward equals summed grads of a and b
     x = Value(rand((3, 3), seed=12))
     with ComputationRecord() as rec:
-        a = dk.sum_squares(dk.relu(x))
+        a = dk.sum_squares(relu(x))
         b = dk.sum_all(dk.matmul(x, x))
         total = dk.add(a, b)
     (joint,) = backward(total, rec, [x])
     (ga,) = backward(a, rec, [x])
     (gb,) = backward(b, rec, [x])
     assert np.abs(joint - (ga + gb)).max() < 1e-12
+
+
+def _backward_leaves_inputs_alone(loss, rec, wrt):
+    """backward(loss, rec, wrt), checking that no array of the record was
+    written and that every gradient is read-only."""
+    values = [v for node in rec.nodes for v in (*node.inputs, node.output)]
+    before = [v.data.copy() for v in values]
+    grads = backward(loss, rec, wrt)
+    for v, data in zip(values, before):
+        assert np.array_equal(v.data.view(np.uint64), data.view(np.uint64))
+    assert not any(g.flags.writeable for g in grads)
+    again = backward(loss, rec, wrt)
+    for a, b in zip(grads, again):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return grads
+
+
+def test_backward_add_of_a_value_with_itself():
+    x = Value(rand((2, 3), seed=20))
+    with ComputationRecord() as rec:
+        y = dk.add(x, x)
+        loss = dk.add(dk.sum_squares(y), dk.sum_all(dk.scale(x, 3.0)))
+    g_y, g_x = _backward_leaves_inputs_alone(loss, rec, [y, x])
+    assert np.array_equal(g_y, 2.0 * y.data)
+    # add's vjp hands g_y to both inputs; the sum is a new array
+    assert np.array_equal(g_x, np.full((2, 3), 3.0) + g_y + g_y)
+    assert not np.shares_memory(g_x, g_y)
+
+
+def test_backward_shared_cotangent_with_further_contributions():
+    """add hands one cotangent to a and b; each then receives two more
+    contributions, summed in place only into arrays backward allocated."""
+    a = Value(rand((3, 3), seed=21))
+    b = Value(rand((3, 3), seed=22))
+    c = Value(rand((3, 3), seed=23))
+    with ComputationRecord() as rec:
+        a2, b2 = dk.scale(a, 2.0), dk.scale(b, -0.5)   # the last contributions
+        ua, ub = dk.matmul(a, c), dk.scale(b, 3.0)
+        s = dk.add(a, b)                              # the first contribution
+        loss = dk.add(dk.add(dk.sum_squares(s), dk.sum_all(ua)),
+                      dk.add(dk.sum_all(ub), dk.sum_all(dk.add(a2, b2))))
+    g_s, g_a, g_b = _backward_leaves_inputs_alone(loss, rec, [s, a, b])
+    ones = np.ones((3, 3))
+    assert np.array_equal(g_s, 2.0 * s.data)
+    assert np.array_equal(g_a, (g_s + ones @ c.data.T) + 2.0 * ones)
+    assert np.array_equal(g_b, (g_s + 3.0 * ones) + -0.5 * ones)
+
+
+def test_backward_intermediate_in_wrt_keeps_its_adjoint():
+    """t's adjoint is a sum backward owns; transpose's vjp hands x a view
+    of it, and x's further contribution must not be added into that view."""
+    x = Value(rand((2, 3), seed=24))
+    with ComputationRecord() as rec:
+        r = dk.scale(x, 5.0)
+        t = dk.transpose(x)
+        loss = dk.add(dk.add(dk.sum_squares(t), dk.sum_all(t)), dk.sum_all(r))
+    g_t, g_x = _backward_leaves_inputs_alone(loss, rec, [t, x])
+    assert np.array_equal(g_t, np.ones((3, 2)) + 2.0 * t.data)
+    assert np.array_equal(g_x, g_t.T + np.full((2, 3), 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +539,7 @@ def test_finite_diff_rejects_bad_step():
 
 def test_every_primitive_gradient_within_tolerance():
     results = check_primitives(seeds=5)
+    assert "affine_relu" in results and "relu" not in results  # ReLU is part of affine
     worst = max(results.values())
     assert worst <= 1e-4, f"worst primitive gradient error {worst}"
 
@@ -441,7 +557,7 @@ def test_stacked_ops_match_per_matrix_ops_bitwise():
     o = Value(rng.uniform(-1, 1, (1, 3)))
 
     def chain(x):
-        h = dk.affine(dk.relu(dk.matmul(x, dk.transpose(x))), w, bias)
+        h = dk.affine(dk.matmul(x, dk.transpose(x)), w, bias, relu=True)
         h = dk.concat_cols([h, dk.scale(h, 0.5)])
         return dk.flatten(dk.add(dk.row_softmax(h, 0.7), dk.row_softmax(h, 1.3)))
 
@@ -496,7 +612,7 @@ def test_stacked_primitive_gradients_within_tolerance():
         (lambda: dk.matmul(x, dk.transpose(y)), [x, y]),
         (lambda: dk.matmul(x, w), [x, w]),
         (lambda: dk.affine(x, w, bias), [x, w, bias]),
-        (lambda: dk.concat_cols([x, dk.relu(y)]), [x, y]),
+        (lambda: dk.concat_cols([x, dk.affine(y, w, bias, relu=True)]), [x, y, w, bias]),
         (lambda: dk.row_softmax(dk.sub(x, y), 0.7), [x, y]),
         (lambda: dk.row_layer_norm(x, gain, offset), [x, gain, offset]),
         (lambda: dk.flatten(dk.permute(x, [2, 0, 1])), [x]),

@@ -228,6 +228,39 @@ def test_encoded_export_matches_direct_encode():
         assert np.array_equal(row, f.data[0])
 
 
+def test_eval_stacks_give_the_same_bits_at_any_size(monkeypatch):
+    """predict_dataset and the encoded export do not depend on how many
+    subjects share an encoder stack: 1, 4 (a ragged last stack) or all 6."""
+    import aufa.evalreport as er
+
+    ds = tiny_dataset(n_rois=5)
+    model = build_model(5, 2, 2, 8, 8, 1e-5, seed=13)
+    stacks = []
+    original = er.encode_batch
+    monkeypatch.setattr(er, "encode_batch",
+                        lambda xs, *a, **kw: stacks.append(len(xs)) or original(xs, *a, **kw))
+    runs = []
+    for size in (1, 4, len(ds)):
+        monkeypatch.setattr(er, "EVAL_BUDGET", size * 5 * 5)
+        stacks.clear()
+        labels, scores, maps = predict_dataset(model, ds, with_maps=True)
+        feats = export_features(ds, "encoded", model).features
+        assert stacks == 2 * [min(size, len(ds) - i) for i in range(0, len(ds), size)]
+        runs.append((labels, scores, feats, np.stack([m.stack() for m in maps])))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            if got.dtype == np.float64:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_eval_budget_is_four_subjects_at_116_rois_and_a_cohort_at_16():
+    from aufa.evalreport import EVAL_BUDGET
+
+    assert EVAL_BUDGET // 116 ** 2 == 4
+    assert EVAL_BUDGET // 16 ** 2 >= 150
+
+
 def test_encoded_export_requires_model():
     with pytest.raises(ValueError, match="checkpoint"):
         export_features(tiny_dataset(), "encoded")

@@ -16,7 +16,7 @@ from aufa.adaptation import classify, mmd_loss, self_opt_loss, confidence_filter
 from aufa.connectome import SiteSpec, synth_multisite
 from aufa.diffkernel import ComputationRecord, Value, backward
 from aufa.model import build_model, clone_model, load_checkpoint, save_checkpoint
-from aufa.trainer import (GammaPolicy, OptimizerState, RunLog, TrainConfig,
+from aufa.trainer import (ADAM_CHUNK, GammaPolicy, OptimizerState, RunLog, TrainConfig,
                           adam_step, adapt, pretrain, sample_paired_batches,
                           sample_source_batches, _rng_children)
 
@@ -109,6 +109,70 @@ def test_adam_quadratic_convergence_matches_reference():
         mine.append(p["x"].item())
     assert abs(mine[-1]) < 0.2
     assert np.abs(np.array(mine) - np.array(reference)).max() < 1e-12
+
+
+def adam_whole_array_reference(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The same 13 numpy operations as adam_step, over whole arrays."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    tmp = np.empty_like(p)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=tmp)
+    m += tmp
+    v *= beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / bc1
+    p -= tmp
+
+
+def test_adam_chunks_are_bitwise_the_whole_array_update():
+    shapes = {"one": (1, 1), "below": (ADAM_CHUNK - 1, 1), "at": (ADAM_CHUNK, 1),
+              "above": (ADAM_CHUNK + 1, 1), "head": (256, 4096),
+              "wide_rows": (3, ADAM_CHUNK + 1)}
+    rng = np.random.default_rng(8)
+    params = {k: Value(rng.normal(size=s)) for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = OptimizerState()
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        adam_step(params, grads, state, lr=1e-3)
+        for k in shapes:
+            adam_whole_array_reference(ref[k], grads[k], ref_m[k], ref_v[k], t, lr=1e-3)
+            for got, want in ((params[k].data, ref[k]), (state.m[k], ref_m[k]),
+                              (state.v[k], ref_v[k])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
+
+
+def test_adam_updates_a_non_contiguous_parameter_in_place():
+    rng = np.random.default_rng(9)
+    for base_shape in ((5, 7), (4096, 64)):     # one chunk; eight chunks of 8 rows
+        base = rng.normal(size=base_shape)
+        p = {"w": Value(base.T)}
+        assert p["w"].data.base is base and not p["w"].data.flags.c_contiguous
+        want = base.T.copy()
+        g = rng.normal(size=want.shape)
+        adam_step(p, {"w": g}, OptimizerState(), lr=1e-2)
+        adam_whole_array_reference(want, g, np.zeros_like(want), np.zeros_like(want), 1,
+                                   lr=1e-2)
+        assert p["w"].data.base is base
+        assert np.array_equal(base.T.view(np.uint64), want.view(np.uint64))
+
+
+def test_optimizer_state_holds_only_moments_and_step():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(OptimizerState)] == ["m", "v", "t"]
+    state = OptimizerState()
+    adam_step({"w": Value(np.ones((2, 2)))}, {"w": np.ones((2, 2))}, state, lr=0.1)
+    assert set(vars(state)) == {"m", "v", "t"}
 
 
 def test_adam_shape_mismatch():
@@ -449,7 +513,6 @@ def test_identical_batches_give_identical_deltas():
     state_copy = OptimizerState(m={k: v.copy() for k, v in state.m.items()},
                                 v={k: v.copy() for k, v in state.v.items()},
                                 t=state.t)
-    state_copy._scratch = {k: v.copy() for k, v in state._scratch.items()}
     one_step(model, state)
     one_step(mid, state_copy)
     for name, v in model.param_dict().items():
