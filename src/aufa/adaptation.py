@@ -16,39 +16,7 @@ import numpy as np
 
 from . import diffkernel as dk
 from .diffkernel import Value
-from .encoder import init_values
-
-
-class ClassifierParams:
-    """Two fully-connected layers: n_inputs -> hidden -> 2, with both
-    widths read from the shape of clf.W1."""
-
-    def __init__(self, values: dict[str, Value]):
-        self.values = values
-
-    @property
-    def n_inputs(self) -> int:
-        return self.values["clf.W1"].shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.values["clf.W1"].shape[1]
-
-    def __getitem__(self, name: str) -> Value:
-        return self.values[name]
-
-    def all_values(self) -> list[Value]:
-        return list(self.values.values())
-
-
-def classifier_shapes(n_inputs: int, hidden: int) -> dict[str, tuple[int, int]]:
-    """Name and shape of every classifier weight, in initialization order."""
-    return {"clf.W1": (n_inputs, hidden), "clf.b1": (1, hidden),
-            "clf.W2": (hidden, 2), "clf.b2": (1, 2)}
-
-
-def init_classifier(n_inputs: int, seed: int, hidden: int = 4096) -> ClassifierParams:
-    return ClassifierParams(init_values(classifier_shapes(n_inputs, hidden), seed))
+from .model import Model
 
 
 @dataclass
@@ -71,13 +39,14 @@ class Prediction:
         return self.probs.data[:, 1].copy()
 
 
-def classify(f: Value, params: ClassifierParams) -> Prediction:
-    """Apply the two-layer head to a batch of graph-level feature rows."""
-    if f.shape[1] != params.n_inputs:
-        raise ValueError(
-            f"classifier expects {params.n_inputs} inputs, got {f.shape[1]}")
-    f1 = dk.affine(f, params["clf.W1"], params["clf.b1"], relu=True)
-    logits = dk.affine(f1, params["clf.W2"], params["clf.b2"])
+def classify(f: Value, model: Model) -> Prediction:
+    """Apply the model's two-layer head to a batch of graph-level feature
+    rows; the input width is read from the shape of clf.W1."""
+    n_inputs = model["clf.W1"].shape[0]
+    if f.shape[1] != n_inputs:
+        raise ValueError(f"classifier expects {n_inputs} inputs, got {f.shape[1]}")
+    f1 = dk.affine(f, model["clf.W1"], model["clf.b1"], relu=True)
+    logits = dk.affine(f1, model["clf.W2"], model["clf.b2"])
     probs = dk.row_softmax(logits, scale=1.0)
     return Prediction(logits=logits, probs=probs, fc_features=[f1, logits])
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import benchmark as bm
@@ -80,30 +81,25 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
         raise ConfigError(f"invalid config: {exc}") from None
 
 
-def _check_architecture(config: TrainConfig, checkpoint_path: str) -> None:
-    ckpt, clf_hidden = read_checkpoint_config(checkpoint_path)
-    want = config.encoder_config(ckpt.d_model)
-    pairs = [(key, getattr(want, key), getattr(ckpt, key))
-             for key in ("n_layers", "n_heads", "ffn_hidden", "ln_eps")]
-    # d_head None means d_model // n_heads, so compare resolved head widths
-    pairs += [("d_head", want.head_width, ckpt.head_width),
-              ("clf_hidden", config.clf_hidden, clf_hidden)]
-    for key, ours, theirs in pairs:
-        if ours != theirs:
-            raise ConfigError(
-                f"config {key}={ours} does not match checkpoint {key}={theirs}: "
-                f"{checkpoint_path}")
-
-
-def _check_rois(checkpoint_path: str, *manifest_paths: str) -> None:
-    """Every dataset must have as many regions as the checkpoint's d_model."""
-    d_model = read_checkpoint_config(checkpoint_path)[0].d_model
+def _check_checkpoint(checkpoint_path: str, *manifest_paths: str,
+                      config: TrainConfig | None = None) -> None:
+    """The checkpoint's architecture must be the one `config`, if given, gives,
+    and every dataset must have as many regions as its d_model."""
+    ckpt = read_checkpoint_config(checkpoint_path)
+    if config is not None:
+        # d_head None means d_model // n_heads, so compare resolved head widths
+        ours, theirs = (asdict(replace(c, d_head=c.head_width))
+                        for c in (config.model_config(ckpt.d_model), ckpt))
+        for key, value in ours.items():
+            if value != theirs[key]:
+                raise ConfigError(f"config {key}={value} does not match checkpoint "
+                                  f"{key}={theirs[key]}: {checkpoint_path}")
     for path in manifest_paths:
         manifest = _load_json(path, "dataset manifest")
         n_rois = manifest.get("n_rois") if isinstance(manifest, dict) else None
-        if n_rois != d_model:
+        if n_rois != ckpt.d_model:
             raise ConfigError(f"dataset {path} has n_rois={n_rois}, but checkpoint "
-                              f"{checkpoint_path} has d_model={d_model}")
+                              f"{checkpoint_path} has d_model={ckpt.d_model}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +126,26 @@ def _build_request(args: argparse.Namespace) -> dict:
         inputs = {"source": _require_file(args.source, "source manifest"),
                   "target": _require_file(args.target, "target manifest"),
                   "checkpoint": _require_file(args.init, "checkpoint")}
-        _check_architecture(config, inputs["checkpoint"])
-        _check_rois(inputs["checkpoint"], inputs["source"], inputs["target"])
+        _check_checkpoint(inputs["checkpoint"], inputs["source"], inputs["target"],
+                          config=config)
         return {"command": cmd, "inputs": inputs, "params": {"config": config.to_dict()}}
     if cmd in ("eval", "attn-top"):
         if cmd == "attn-top" and args.k < 1:
             raise ConfigError("--k must be positive")
         inputs = {"data": _require_file(args.data, "dataset manifest"),
                   "checkpoint": _require_file(args.checkpoint, "checkpoint")}
-        _check_rois(inputs["checkpoint"], inputs["data"])
+        _check_checkpoint(inputs["checkpoint"], inputs["data"])
         return {"command": cmd, "inputs": inputs,
                 "params": {"k": args.k} if cmd == "attn-top" else {}}
     if cmd == "export-features":
-        if args.mode not in ("raw-upper-triangle", "encoded"):
-            raise ConfigError(f"unknown export mode {args.mode!r}")
         inputs = {"data": _require_file(args.data, "dataset manifest")}
         if args.mode == "encoded":
             if not args.checkpoint:
                 raise ConfigError("encoded export needs --checkpoint")
             inputs["checkpoint"] = _require_file(args.checkpoint, "checkpoint")
-            _check_rois(inputs["checkpoint"], inputs["data"])
+            _check_checkpoint(inputs["checkpoint"], inputs["data"])
+        elif args.checkpoint:
+            raise ConfigError("--checkpoint is only read with --mode encoded")
         return {"command": cmd, "inputs": inputs, "params": {"mode": args.mode}}
     if cmd == "gradcheck":
         if args.seeds < 1:
@@ -164,13 +160,43 @@ def _build_request(args: argparse.Namespace) -> dict:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers: {args.seeds!r}")
-        if not seeds:
-            raise ConfigError("--seeds must name at least one seed")
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise ConfigError(f"--seeds must name one or more distinct seeds: {args.seeds!r}")
         return {"command": cmd,
                 "inputs": {"source": _require_file(args.source, "source manifest"),
                            "target": _require_file(args.target, "target manifest")},
                 "params": {"config": config.to_dict(), "seeds": seeds}}
     raise ConfigError(f"unknown command {cmd!r}")
+
+
+# the inputs and params of each command's request (an encoded export adds a checkpoint)
+_REQUEST_KEYS = {
+    "synth": ({"spec"}, set()), "fcn": ({"series"}, set()),
+    "pretrain": ({"source"}, {"config"}),
+    "adapt": ({"source", "target", "checkpoint"}, {"config"}),
+    "eval": ({"data", "checkpoint"}, set()), "attn-top": ({"data", "checkpoint"}, {"k"}),
+    "export-features": ({"data"}, {"mode"}), "gradcheck": (set(), {"seeds", "step"}),
+    "ablate": ({"source", "target"}, {"config", "seeds"}),
+}
+
+
+def _check_manifest(request, path: str) -> None:
+    """A run manifest must hold a request of the shape `_build_request` makes."""
+    command = request.get("command") if isinstance(request, dict) else None
+    if not isinstance(command, str) or command not in _REQUEST_KEYS:
+        raise ConfigError(f"run manifest has no known command: {path}")
+    inputs, params = _REQUEST_KEYS[command]
+    if isinstance(request.get("params"), dict) and request["params"].get("mode") == "encoded":
+        inputs = inputs | {"checkpoint"}
+    for field, names in (("inputs", inputs), ("params", params)):
+        if not isinstance(request.get(field), dict) or request[field].keys() != names:
+            raise ConfigError(f"run manifest {field} must be an object with the keys "
+                              f"{sorted(names)}: {path}")
+    if "config" in params:
+        try:
+            TrainConfig.from_dict(request["params"]["config"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config in run manifest {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +301,6 @@ def _execute(request: dict, out_dir: Path) -> int:
         print(result.format_table())
         outputs += ["ablation.json", "ablation.csv"]
 
-    else:
-        raise ConfigError(f"unknown command {cmd!r}")
-
     _write_manifest(request, out_dir, outputs)
     return 0
 
@@ -306,8 +329,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda1", type=float)
     p.add_argument("--lambda2", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma-fixed", dest="gamma_fixed", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
+    gamma = p.add_mutually_exclusive_group()
+    gamma.add_argument("--gamma-fixed", dest="gamma_fixed", type=float)
+    gamma.add_argument("--gamma-max", dest="gamma_max", type=float)
     p.add_argument("--n-layers", dest="n_layers", type=int)
     p.add_argument("--n-heads", dest="n_heads", type=int)
     p.add_argument("--ffn-hidden", dest="ffn_hidden", type=int)
@@ -354,7 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("export-features", "per-subject feature table (raw or encoded)")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", default="raw-upper-triangle")
+    p.add_argument("--mode", default="raw-upper-triangle",
+                   choices=("raw-upper-triangle", "encoded"))
     p.add_argument("--checkpoint")
 
     p = add("gradcheck", "finite-difference gradient suite")
@@ -389,15 +414,7 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             manifest_path = _require_file(args.manifest, "run manifest")
             request = _load_json(manifest_path, "run manifest")
-            for key in ("command", "inputs", "params"):
-                if key not in request:
-                    raise ConfigError(f"run manifest missing {key!r}: {manifest_path}")
-            if "config" in request["params"]:
-                try:
-                    TrainConfig.from_dict(request["params"]["config"])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"invalid config in run manifest "
-                                      f"{manifest_path}: {exc}") from None
+            _check_manifest(request, manifest_path)
             out_dir = Path(args.out) if args.out else _default_out(request["command"])
         else:
             request = _build_request(args)

@@ -18,44 +18,7 @@ import numpy as np
 from . import diffkernel as dk
 from .connectome import ConnectivityMatrix
 from .diffkernel import Value
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    n_layers: int = 2
-    n_heads: int = 4
-    d_model: int = 116
-    d_head: int | None = None  # defaults to d_model // n_heads
-    ffn_hidden: int = 256
-    ln_eps: float = 1e-5
-
-    def __post_init__(self):
-        if self.n_layers < 1 or self.n_heads < 1:
-            raise ValueError("EncoderConfig needs at least one layer and one head")
-        if self.d_model < 1 or self.ffn_hidden < 1:
-            raise ValueError("EncoderConfig widths must be positive")
-        if self.ln_eps <= 0:
-            raise ValueError("EncoderConfig ln_eps must be positive")
-        if self.d_head is not None and self.d_head < 1:
-            raise ValueError("EncoderConfig d_head must be positive")
-
-    @property
-    def head_width(self) -> int:
-        return self.d_head if self.d_head is not None else max(1, self.d_model // self.n_heads)
-
-
-class EncoderParams:
-    """All learnable encoder weights, keyed by dotted name."""
-
-    def __init__(self, config: EncoderConfig, values: dict[str, Value]):
-        self.config = config
-        self.values = values
-
-    def __getitem__(self, name: str) -> Value:
-        return self.values[name]
-
-    def all_values(self) -> list[Value]:
-        return list(self.values.values())
+from .model import Model
 
 
 class AttentionMaps:
@@ -99,49 +62,6 @@ class AugmentInjection:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
-def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, int]]:
-    """Name and shape of every encoder weight, in initialization order."""
-    d, dk_, h, f = config.d_model, config.head_width, config.n_heads, config.ffn_hidden
-    shapes: dict[str, tuple[int, int]] = {}
-    for layer in range(config.n_layers):
-        p = f"layer{layer}"
-        for head in range(h):
-            for w in ("WQ", "WK", "WV"):
-                shapes[f"{p}.head{head}.{w}"] = (d, dk_)
-        shapes[f"{p}.W"] = (h * dk_, d)
-        shapes[f"{p}.ln1.g"] = (1, d)
-        shapes[f"{p}.ln1.b"] = (1, d)
-        shapes[f"{p}.W1"] = (d, f)
-        shapes[f"{p}.b1"] = (1, f)
-        shapes[f"{p}.W2"] = (f, d)
-        shapes[f"{p}.b2"] = (1, d)
-        shapes[f"{p}.ln2.g"] = (1, d)
-        shapes[f"{p}.ln2.b"] = (1, d)
-    return shapes
-
-
-def init_values(shapes: dict[str, tuple[int, int]], seed: int) -> dict[str, Value]:
-    """Layer-norm gains (`.g`) 1, biases and offsets (`.b*`) 0, and uniform
-    Xavier weight matrices drawn in `shapes` order. Deterministic given the
-    seed."""
-    rng = np.random.default_rng(seed)
-    values: dict[str, Value] = {}
-    for name, shape in shapes.items():
-        kind = name.rsplit(".", 1)[1]
-        if kind == "g":
-            values[name] = Value(np.ones(shape))
-        elif kind.startswith("b"):
-            values[name] = Value(np.zeros(shape))
-        else:
-            a = math.sqrt(6.0 / sum(shape))
-            values[name] = Value(rng.uniform(-a, a, size=shape))
-    return values
-
-
-def init_encoder(config: EncoderConfig, seed: int) -> EncoderParams:
-    return EncoderParams(config, init_values(parameter_shapes(config), seed))
-
-
 def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Value]:
     """Single attention head: returns (weighted value projection, score matrix)."""
     d_head = wq.shape[1]
@@ -152,7 +72,7 @@ def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Va
     return out, scores
 
 
-def multi_head_layer(z: Value, params: EncoderParams, layer: int,
+def multi_head_layer(z: Value, model: Model, layer: int,
                      maps: list[AttentionMaps] | None = None) -> Value:
     """Concatenate all head outputs, project back to d_model, layer-normalize.
 
@@ -160,28 +80,28 @@ def multi_head_layer(z: Value, params: EncoderParams, layer: int,
     `maps` holds one AttentionMaps per subject, each head's score matrices
     are put there.
     """
-    cfg = params.config
     p = f"layer{layer}"
     heads = []
-    for head in range(cfg.n_heads):
+    for head in range(model.config.n_heads):
         out, scores = attention_head(
-            z, params[f"{p}.head{head}.WQ"], params[f"{p}.head{head}.WK"],
-            params[f"{p}.head{head}.WV"])
+            z, model[f"{p}.head{head}.WQ"], model[f"{p}.head{head}.WK"],
+            model[f"{p}.head{head}.WV"])
         if maps is not None:
             n = scores.shape[-1]
             for subject_maps, s in zip(maps, scores.data.reshape(-1, n, n), strict=True):
                 subject_maps.put(layer, head, s)
         heads.append(out)
-    projected = dk.matmul(dk.concat_cols(heads), params[f"{p}.W"])
-    return dk.row_layer_norm(projected, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], cfg.ln_eps)
+    projected = dk.matmul(dk.concat_cols(heads), model[f"{p}.W"])
+    return dk.row_layer_norm(projected, model[f"{p}.ln1.g"], model[f"{p}.ln1.b"],
+                             model.config.ln_eps)
 
 
-def feed_forward(z: Value, params: EncoderParams, layer: int) -> Value:
-    cfg = params.config
+def feed_forward(z: Value, model: Model, layer: int) -> Value:
     p = f"layer{layer}"
-    hidden = dk.affine(z, params[f"{p}.W1"], params[f"{p}.b1"], relu=True)
-    out = dk.affine(hidden, params[f"{p}.W2"], params[f"{p}.b2"])
-    return dk.row_layer_norm(out, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], cfg.ln_eps)
+    hidden = dk.affine(z, model[f"{p}.W1"], model[f"{p}.b1"], relu=True)
+    out = dk.affine(hidden, model[f"{p}.W2"], model[f"{p}.b2"])
+    return dk.row_layer_norm(out, model[f"{p}.ln2.g"], model[f"{p}.ln2.b"],
+                             model.config.ln_eps)
 
 
 def _mix(own: Value, partner: Value, gamma: float) -> Value:
@@ -199,10 +119,10 @@ def _array(x: ConnectivityMatrix | np.ndarray | Value) -> np.ndarray:
     return x.data if isinstance(x, Value) else np.asarray(x)
 
 
-def _layers(z: Value, params: EncoderParams, injection: AugmentInjection | None,
+def _layers(z: Value, model: Model, injection: AugmentInjection | None,
             capture: list[Value] | None, maps: list[AttentionMaps] | None) -> Value:
     """Every encoder layer over `z` (one subject or a stack), then flatten."""
-    cfg = params.config
+    cfg = model.config
     n = cfg.d_model
     if z.shape[-2:] != (n, n):
         raise ValueError(f"encoder expects a {n}x{n} input, got {z.shape[-2:]}")
@@ -217,14 +137,14 @@ def _layers(z: Value, params: EncoderParams, injection: AugmentInjection | None,
             capture.append(z)
         if injection is not None and injection.layer_index == layer:
             z = _mix(z, injection.partner_features, injection.gamma)
-        z = multi_head_layer(z, params, layer, maps)
-        z = feed_forward(z, params, layer)
+        z = multi_head_layer(z, model, layer, maps)
+        z = feed_forward(z, model, layer)
     return dk.flatten(z)
 
 
 def encode(
     x: ConnectivityMatrix | np.ndarray | Value,
-    params: EncoderParams,
+    model: Model,
     injection: AugmentInjection | None = None,
     capture: list[Value] | None = None,
 ) -> tuple[Value, AttentionMaps]:
@@ -240,10 +160,10 @@ def encode(
     if len(z.shape) != 2:
         raise ValueError(f"encode takes one subject's matrix, got shape {z.shape}")
     maps = AttentionMaps()
-    return _layers(z, params, injection, capture, [maps]), maps
+    return _layers(z, model, injection, capture, [maps]), maps
 
 
-def encode_batch(xs, params: EncoderParams,
+def encode_batch(xs, model: Model,
                  captures: list[Value] | None = None,
                  injection: AugmentInjection | None = None,
                  maps: list[AttentionMaps] | None = None) -> Value:
@@ -261,7 +181,7 @@ def encode_batch(xs, params: EncoderParams,
         raise ValueError("encode_batch needs at least one subject")
     z = Value(np.stack([_array(x) for x in xs]))
     per_subject = [AttentionMaps() for _ in xs] if maps is not None else None
-    feats = _layers(z, params, injection, captures, per_subject)
+    feats = _layers(z, model, injection, captures, per_subject)
     if maps is not None:
         maps.extend(per_subject)
     return feats

@@ -117,7 +117,7 @@ def _encode_cohort(model: Model, dataset: Dataset,
     elements (at least one subject each)."""
     xs = [s.fcn for s in dataset.subjects]
     size = max(1, EVAL_BUDGET // dataset.n_rois ** 2)
-    return dk.concat_rows([encode_batch(xs[i:i + size], model.encoder, maps=maps)
+    return dk.concat_rows([encode_batch(xs[i:i + size], model, maps=maps)
                            for i in range(0, len(xs), size)])
 
 
@@ -125,7 +125,7 @@ def predict_dataset(model: Model, dataset: Dataset, with_maps: bool = False):
     """Encode and classify every subject; returns (labels, scores, maps)."""
     maps: list[AttentionMaps] = []
     feats = _encode_cohort(model, dataset, maps if with_maps else None)
-    pred = classify(feats, model.classifier)
+    pred = classify(feats, model)
     return pred.hard_labels(), pred.positive_scores(), maps
 
 

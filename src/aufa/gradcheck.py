@@ -11,7 +11,7 @@ from . import diffkernel as dk
 from .adaptation import FilterMask, LossWeights
 from .connectome import TimeSeries, pearson_fcn
 from .diffkernel import Value, finite_diff_check
-from .model import Model, build_model
+from .model import Model, build_model, param_kind
 from .trainer import joint_objective
 
 
@@ -87,10 +87,11 @@ def _xavier_randomize(model: Model):
     """Re-draw every parameter at its init scale (gains near 1, biases small)."""
 
     def randomize(rng: np.random.Generator):
-        for name, p in model.param_dict().items():
-            if ".ln" in name and name.endswith(".g"):
+        for name, p in model.params.items():
+            kind = param_kind(name)
+            if kind == "gain":
                 p.data[...] = rng.uniform(0.9, 1.1, p.shape)
-            elif name.endswith((".b", ".b1", ".b2")):
+            elif kind == "bias":
                 p.data[...] = rng.uniform(-0.1, 0.1, p.shape)
             else:
                 a = math.sqrt(6.0 / sum(p.shape))
@@ -123,7 +124,7 @@ def check_joint_loss(seeds: int = 5, step: float = 1e-5,
         return joint_objective(model, src, labels, tgt, partners, layer=1, gamma=0.3,
                                weights=LossWeights(1.0, 1.0), mask=keep_all)[0]
 
-    params = list(model.param_dict().values())
+    params = list(model.params.values())
     return finite_diff_check(f, params, step=step, seeds=seeds,
                              randomize=_xavier_randomize(model))
 

@@ -1,4 +1,4 @@
-"""Full model assembly and checkpoint serialization.
+"""The model (a ModelConfig and one parameter dict), its init and checkpoints.
 
 A checkpoint is one binary file, laid out as:
 
@@ -21,51 +21,120 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adaptation import ClassifierParams, classifier_shapes, init_classifier
 from .diffkernel import Value
-from .encoder import EncoderConfig, EncoderParams, init_encoder, parameter_shapes
 
 
-@dataclass
-class Model:
-    encoder: EncoderParams
-    classifier: ClassifierParams
+@dataclass(frozen=True)
+class ModelConfig:
+    """The architecture: encoder widths and depth, then the classifier's
+    hidden width. A checkpoint header's `config` is this, field by field."""
 
-    def param_dict(self) -> dict[str, Value]:
-        merged = dict(self.encoder.values)
-        merged.update(self.classifier.values)
-        return merged
+    n_layers: int = 2
+    n_heads: int = 4
+    d_model: int = 116
+    d_head: int | None = None  # defaults to d_model // n_heads
+    ffn_hidden: int = 256
+    ln_eps: float = 1e-5
+    clf_hidden: int = 4096
+
+    def __post_init__(self):
+        if self.n_layers < 1 or self.n_heads < 1:
+            raise ValueError("ModelConfig needs at least one layer and one head")
+        # head_width is d_head when it is set, and at least 1 otherwise
+        if min(self.d_model, self.ffn_hidden, self.clf_hidden, self.head_width) < 1:
+            raise ValueError("ModelConfig widths must be positive")
+        if self.ln_eps <= 0:
+            raise ValueError("ModelConfig ln_eps must be positive")
 
     @property
-    def n_rois(self) -> int:
-        return self.encoder.config.d_model
+    def head_width(self) -> int:
+        return self.d_head if self.d_head is not None else max(1, self.d_model // self.n_heads)
+
+
+@dataclass(frozen=True)
+class Model:
+    """The architecture and every learnable weight, keyed by dotted name in
+    `parameter_shapes` order: the encoder's, then the classifier's `clf.*`."""
+
+    config: ModelConfig
+    params: dict[str, Value]
+
+    def __getitem__(self, name: str) -> Value:
+        return self.params[name]
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every weight, in initialization order."""
+    d, dk_, h, f = config.d_model, config.head_width, config.n_heads, config.ffn_hidden
+    shapes: dict[str, tuple[int, int]] = {}
+    for layer in range(config.n_layers):
+        p = f"layer{layer}"
+        for head in range(h):
+            for w in ("WQ", "WK", "WV"):
+                shapes[f"{p}.head{head}.{w}"] = (d, dk_)
+        shapes[f"{p}.W"] = (h * dk_, d)
+        shapes[f"{p}.ln1.g"] = (1, d)
+        shapes[f"{p}.ln1.b"] = (1, d)
+        shapes[f"{p}.W1"] = (d, f)
+        shapes[f"{p}.b1"] = (1, f)
+        shapes[f"{p}.W2"] = (f, d)
+        shapes[f"{p}.b2"] = (1, d)
+        shapes[f"{p}.ln2.g"] = (1, d)
+        shapes[f"{p}.ln2.b"] = (1, d)
+    # the classifier: d_model^2 graph features -> clf_hidden -> 2
+    c = config.clf_hidden
+    shapes.update({"clf.W1": (d * d, c), "clf.b1": (1, c), "clf.W2": (c, 2), "clf.b2": (1, 2)})
+    return shapes
+
+
+def param_kind(name: str) -> str:
+    """`gain` for a layer-norm gain (`.g`), `bias` for a bias or offset
+    (`.b*`), `weight` for anything else."""
+    kind = name.rsplit(".", 1)[1]
+    return "gain" if kind == "g" else "bias" if kind.startswith("b") else "weight"
+
+
+def init_values(shapes: dict[str, tuple[int, int]], seed: int) -> dict[str, Value]:
+    """Gains 1, biases 0, and uniform Xavier weight matrices drawn in
+    `shapes` order. Deterministic given the seed."""
+    rng = np.random.default_rng(seed)
+    values: dict[str, Value] = {}
+    for name, shape in shapes.items():
+        kind = param_kind(name)
+        if kind == "gain":
+            values[name] = Value(np.ones(shape))
+        elif kind == "bias":
+            values[name] = Value(np.zeros(shape))
+        else:
+            a = math.sqrt(6.0 / sum(shape))
+            values[name] = Value(rng.uniform(-a, a, size=shape))
+    return values
 
 
 def build_model(n_rois: int, n_layers: int, n_heads: int, ffn_hidden: int,
                 clf_hidden: int, ln_eps: float, seed: int,
                 d_head: int | None = None) -> Model:
-    """Initialize encoder and classifier with seeds derived from one seed."""
+    """Initialize the encoder and the classifier weights with two seeds
+    derived from one seed."""
     enc_seed, clf_seed = [int(s.generate_state(1)[0])
                           for s in np.random.SeedSequence(seed).spawn(2)]
-    cfg = EncoderConfig(n_layers=n_layers, n_heads=n_heads, d_model=n_rois,
-                        d_head=d_head, ffn_hidden=ffn_hidden, ln_eps=ln_eps)
-    encoder = init_encoder(cfg, enc_seed)
-    classifier = init_classifier(n_rois * n_rois, clf_seed, hidden=clf_hidden)
-    return Model(encoder=encoder, classifier=classifier)
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads, d_model=n_rois, d_head=d_head,
+                         ffn_hidden=ffn_hidden, ln_eps=ln_eps, clf_hidden=clf_hidden)
+    shapes = parameter_shapes(config)
+    head = {name: shapes.pop(name) for name in list(shapes) if name.startswith("clf.")}
+    return Model(config, {**init_values(shapes, enc_seed), **init_values(head, clf_seed)})
 
 
 def clone_model(model: Model) -> Model:
     """Deep copy: fresh Values with copied data."""
-    enc_values = {k: Value(v.data.copy()) for k, v in model.encoder.values.items()}
-    clf_values = {k: Value(v.data.copy()) for k, v in model.classifier.values.items()}
-    return Model(encoder=EncoderParams(model.encoder.config, enc_values),
-                 classifier=ClassifierParams(clf_values))
+    return Model(model.config, {k: Value(v.data.copy()) for k, v in model.params.items()})
 
 
 MAGIC = b"AUFACKP1"
@@ -80,22 +149,13 @@ class CheckpointError(ValueError):
 def save_checkpoint(model: Model, path) -> None:
     """Write atomically: a temp file in the same directory, then a rename."""
     path = Path(path)
-    cfg = model.encoder.config
     params = [(name, np.ascontiguousarray(v.data, dtype=DTYPE))
-              for name, v in model.param_dict().items()]
+              for name, v in model.params.items()]
     digest = hashlib.sha256()
     for _, arr in params:
         digest.update(arr)
     header = json.dumps({
-        "config": {
-            "n_layers": cfg.n_layers,
-            "n_heads": cfg.n_heads,
-            "d_model": cfg.d_model,
-            "d_head": cfg.d_head,
-            "ffn_hidden": cfg.ffn_hidden,
-            "ln_eps": cfg.ln_eps,
-            "clf_hidden": model.classifier.hidden,
-        },
+        "config": asdict(model.config),
         "dtype": DTYPE,
         "params": [[name, list(arr.shape)] for name, arr in params],
         "sha256": digest.hexdigest(),
@@ -112,7 +172,7 @@ def save_checkpoint(model: Model, path) -> None:
         raise
 
 
-def _read_header(fh, path: Path) -> tuple[EncoderConfig, int, list, str]:
+def _read_header(fh, path: Path) -> tuple[ModelConfig, list, str]:
     """Parse magic, length and JSON header; leave `fh` at the payload."""
     size = os.fstat(fh.fileno()).st_size
     lead = fh.read(_LEAD)
@@ -131,12 +191,11 @@ def _read_header(fh, path: Path) -> tuple[EncoderConfig, int, list, str]:
         raise CheckpointError(f"checkpoint header is not JSON: {path} ({exc})") from None
     try:
         c = header["config"]
-        config = EncoderConfig(
+        config = ModelConfig(
             n_layers=int(c["n_layers"]), n_heads=int(c["n_heads"]),
-            d_model=int(c["d_model"]),
+            d_model=int(c["d_model"]), clf_hidden=int(c["clf_hidden"]),
             d_head=None if c["d_head"] is None else int(c["d_head"]),
             ffn_hidden=int(c["ffn_hidden"]), ln_eps=float(c["ln_eps"]))
-        clf_hidden = int(c["clf_hidden"])
         entries = [(str(name), (int(rows), int(cols)))
                    for name, (rows, cols) in header["params"]]
         if header["dtype"] != DTYPE:
@@ -147,8 +206,7 @@ def _read_header(fh, path: Path) -> tuple[EncoderConfig, int, list, str]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint header is malformed: {path} ({exc!r})") from None
     # the names and shapes the builder gives this architecture
-    expected = {**parameter_shapes(config),
-                **classifier_shapes(config.d_model ** 2, clf_hidden)}
+    expected = parameter_shapes(config)
     found = dict(entries)
     for name, shape in expected.items():
         if name not in found:
@@ -159,15 +217,13 @@ def _read_header(fh, path: Path) -> tuple[EncoderConfig, int, list, str]:
     extra = sorted(found.keys() - expected.keys())
     if extra:
         raise CheckpointError(f"checkpoint has unexpected parameter {extra[0]}: {path}")
-    return config, clf_hidden, entries, digest
+    return config, entries, digest
 
 
-def read_checkpoint_config(path) -> tuple[EncoderConfig, int]:
-    """Encoder config and classifier width, read from the header alone."""
-    path = Path(path)
+def read_checkpoint_config(path) -> ModelConfig:
+    """The architecture, read from the header alone."""
     with open(path, "rb") as fh:
-        config, clf_hidden, _, _ = _read_header(fh, path)
-    return config, clf_hidden
+        return _read_header(fh, Path(path))[0]
 
 
 def load_checkpoint(path) -> Model:
@@ -175,7 +231,7 @@ def load_checkpoint(path) -> Model:
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
     with open(path, "rb") as fh:
-        cfg, _, entries, digest = _read_header(fh, path)
+        cfg, entries, digest = _read_header(fh, path)
         counts = [rows * cols for _, (rows, cols) in entries]
         expected = 8 * sum(counts)
         actual = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -199,7 +255,4 @@ def load_checkpoint(path) -> Model:
             values[name] = Value(arr.reshape(shape))
         except ValueError as exc:
             raise CheckpointError(f"checkpoint parameter {name}: {exc}: {path}") from None
-    enc_values = {k: v for k, v in values.items() if not k.startswith("clf.")}
-    clf_values = {k: v for k, v in values.items() if k.startswith("clf.")}
-    return Model(encoder=EncoderParams(cfg, enc_values),
-                 classifier=ClassifierParams(clf_values))
+    return Model(cfg, values)

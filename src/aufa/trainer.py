@@ -24,8 +24,8 @@ from .adaptation import (FilterMask, LossWeights, Prediction, classify,
                          confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from .connectome import Dataset
 from .diffkernel import ComputationRecord, Value, backward
-from .encoder import AugmentInjection, EncoderConfig, encode_batch
-from .model import Model, build_model
+from .encoder import AugmentInjection, encode_batch
+from .model import Model, ModelConfig, build_model
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,12 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.clf_hidden < 1:
-            raise ValueError("clf_hidden must be positive")
-        self.encoder_config(d_model=1)  # the encoder's own rules; data sets d_model
+        self.model_config(d_model=1)  # the architecture's own rules; data sets d_model
 
-    def encoder_config(self, d_model: int) -> EncoderConfig:
-        return EncoderConfig(n_layers=self.n_layers, n_heads=self.n_heads,
-                             d_model=d_model, d_head=self.d_head,
-                             ffn_hidden=self.ffn_hidden, ln_eps=self.ln_eps)
+    def model_config(self, d_model: int) -> ModelConfig:
+        return ModelConfig(n_layers=self.n_layers, n_heads=self.n_heads, d_model=d_model,
+                           d_head=self.d_head, ffn_hidden=self.ffn_hidden,
+                           ln_eps=self.ln_eps, clf_hidden=self.clf_hidden)
 
     def weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
@@ -300,13 +298,12 @@ def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerStat
     _, _, pretrain_rng, _ = _rng_children(config.seed)
     state = OptimizerState()
     log = RunLog()
-    params = model.param_dict()
+    params = model.params
     for epoch in range(config.epochs_pretrain):
         losses = []
         for batch in sample_source_batches(source, config.batch_size, pretrain_rng):
             def source_loss():
-                pred = classify(encode_batch(_fcns(source, batch), model.encoder),
-                                model.classifier)
+                pred = classify(encode_batch(_fcns(source, batch), model), model)
                 loss = dk.cross_entropy(pred.logits, [source.subjects[i].label for i in batch])
                 return loss, loss.item()
 
@@ -334,21 +331,19 @@ def joint_objective(model: Model, source_x, labels, target_x, partners,
     target batch is not encoded at all. Returns the loss and a dict of
     `loss_c`, `loss_m`, `loss_a`, `loss_joint` and `kept_fraction`.
     """
-    pred_s = classify(encode_batch(source_x, model.encoder), model.classifier)
+    pred_s = classify(encode_batch(source_x, model), model)
     l_c = dk.cross_entropy(pred_s.logits, labels)
     l_m = l_a = dk.scalar(0.0)
     kept = 0.0
     if weights.lambda1 != 0.0 or weights.lambda2 != 0.0:
         captures: list[Value] = []
-        pred_t = classify(encode_batch(target_x, model.encoder, captures=captures),
-                          model.classifier)
+        pred_t = classify(encode_batch(target_x, model, captures=captures), model)
         if weights.lambda1 != 0.0:
             l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
         if weights.lambda2 != 0.0:
             partner = dk.permute(captures[layer], partners)
-            pred_a = classify(encode_batch(target_x, model.encoder,
-                                           injection=AugmentInjection(layer, partner, gamma)),
-                              model.classifier)
+            injection = AugmentInjection(layer, partner, gamma)
+            pred_a = classify(encode_batch(target_x, model, injection=injection), model)
             keep = mask(pred_t, pred_a)
             l_a = self_opt_loss(pred_t, pred_a, keep)
             kept = keep.kept_fraction
@@ -361,14 +356,14 @@ def adapt(model: Model, source: Dataset, target: Dataset, config: TrainConfig,
           state: OptimizerState | None = None) -> tuple[Model, RunLog]:
     """Stage two: minimize the joint loss on labelled source plus unlabelled
     target. Target labels are never read."""
-    if source.n_rois != model.n_rois or target.n_rois != model.n_rois:
+    if source.n_rois != model.config.d_model or target.n_rois != model.config.d_model:
         raise ValueError("dataset dimensions do not match the model")
     for s in source.subjects:
         if s.label is None:
             raise ValueError(f"unlabeled source subject {s.subject_id!r}")
     _, _, _, adapt_rng = _rng_children(config.seed)
     state = state if state is not None else OptimizerState()
-    params = model.param_dict()
+    params = model.params
     log = RunLog()
     weights = config.weights()
 

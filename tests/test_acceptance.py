@@ -19,10 +19,10 @@ from aufa.benchmark import benchmark_datasets, run_ablation
 from aufa.cli import main as cli_main
 from aufa.connectome import SiteSpec, TimeSeries, pearson_fcn, synth_multisite
 from aufa.diffkernel import ComputationRecord, Value, backward
-from aufa.encoder import AugmentInjection, encode, init_encoder, EncoderConfig
+from aufa.encoder import AugmentInjection, encode
 from aufa.evalreport import (auc, betweenness_centrality, local_efficiency)
 from aufa.gradcheck import run_suite
-from aufa.model import build_model
+from aufa.model import Model, ModelConfig, build_model, init_values, parameter_shapes
 from aufa.trainer import (OptimizerState, TrainConfig, adam_step, adapt,
                           sample_paired_batches, _rng_children)
 
@@ -83,8 +83,8 @@ def test_criterion_03_attention_rows_stochastic():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(4, 10))
-        cfg = EncoderConfig(n_layers=2, n_heads=2, d_model=n, ffn_hidden=8)
-        params = init_encoder(cfg, seed=int(rng.integers(1 << 30)))
+        cfg = ModelConfig(n_layers=2, n_heads=2, d_model=n, ffn_hidden=8)
+        params = Model(cfg, init_values(parameter_shapes(cfg), seed=int(rng.integers(1 << 30))))
         x = pearson_fcn(TimeSeries("s", rng.standard_normal((25, n))))
         _, maps = encode(x, params)
         for key in maps.keys():
@@ -98,8 +98,8 @@ def test_criterion_03_attention_rows_stochastic():
 
 
 def test_criterion_04_blend_endpoints():
-    cfg = EncoderConfig(n_layers=2, n_heads=2, d_model=6, ffn_hidden=8)
-    params = init_encoder(cfg, seed=5)
+    cfg = ModelConfig(n_layers=2, n_heads=2, d_model=6, ffn_hidden=8)
+    params = Model(cfg, init_values(parameter_shapes(cfg), seed=5))
     rng = np.random.default_rng(6)
     x = pearson_fcn(TimeSeries("a", rng.standard_normal((30, 6))))
     partner = pearson_fcn(TimeSeries("b", rng.standard_normal((30, 6))))
@@ -117,7 +117,7 @@ def test_criterion_04_blend_endpoints():
     gamma1_ok = np.array_equal(partner_clean.data, blended1.data)
 
     # identical clean/blended paths give a consistency loss of exactly zero
-    clf = build_model(6, 2, 2, 8, 8, 1e-5, seed=7).classifier
+    clf = build_model(6, 2, 2, 8, 8, 1e-5, seed=7)
     f_clean, _ = encode(x, params)
     f_blend, _ = encode(x, params, injection=AugmentInjection(
         1, Value(partner.values), 0.0))
@@ -171,7 +171,7 @@ def test_criterion_06_zero_weights_match_pure_source_training():
     adapt(adapted, source, target, cfg)
 
     baseline = fresh_model()
-    params = baseline.param_dict()
+    params = baseline.params
     state = OptimizerState()
     rng = _rng_children(cfg.seed)[3]
     for _ in range(cfg.epochs_adapt):
@@ -180,16 +180,16 @@ def test_criterion_06_zero_weights_match_pure_source_training():
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
             with ComputationRecord() as rec:
-                rows = [encode(source.subjects[i].fcn, baseline.encoder)[0]
+                rows = [encode(source.subjects[i].fcn, baseline)[0]
                         for i in batch.source_indices]
-                pred = classify(dk.concat_rows(rows), baseline.classifier)
+                pred = classify(dk.concat_rows(rows), baseline)
                 loss = dk.cross_entropy(pred.logits, labels)
             grads = backward(loss, rec, params.values())
             adam_step(params, dict(zip(params, grads)), state,
                       cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     same = all(np.array_equal(v.data, params[k].data)
-               for k, v in adapted.param_dict().items())
+               for k, v in adapted.params.items())
     report(6, same, "zero-weight adaptation equals pure source training bitwise")
 
 

@@ -5,9 +5,16 @@ import pytest
 
 from aufa import diffkernel as dk
 from aufa.adaptation import (FilterMask, LossWeights, classify,
-                             confidence_filter, init_classifier, joint_loss,
-                             mmd_loss, self_opt_loss)
+                             confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from aufa.diffkernel import ComputationRecord, Value, backward
+from aufa.model import Model, ModelConfig, init_values
+
+
+def classifier_model(n_inputs, seed, hidden):
+    """A model holding only the four clf.* weights, drawn from `seed`."""
+    shapes = {"clf.W1": (n_inputs, hidden), "clf.b1": (1, hidden),
+              "clf.W2": (hidden, 2), "clf.b2": (1, 2)}
+    return Model(ModelConfig(clf_hidden=hidden), init_values(shapes, seed))
 
 
 def make_prediction(prob_rows):
@@ -30,23 +37,27 @@ def make_prediction(prob_rows):
 
 
 def test_classify_zero_weights_uniform():
-    params = init_classifier(n_inputs=10, seed=0, hidden=6)
-    for name in params.values:
-        params.values[name] = Value(np.zeros(params[name].shape))
-    pred = classify(Value(np.random.default_rng(0).normal(size=(4, 10))), params)
+    model = classifier_model(n_inputs=10, seed=0, hidden=6)
+    for name in model.params:
+        model.params[name] = Value(np.zeros(model[name].shape))
+    pred = classify(Value(np.random.default_rng(0).normal(size=(4, 10))), model)
     assert np.array_equal(pred.probs.data, np.full((4, 2), 0.5))
 
 
 def test_classifier_widths_come_from_w1():
-    params = init_classifier(n_inputs=10, seed=0, hidden=6)
-    assert (params.n_inputs, params.hidden) == (10, 6)
-    params.values["clf.W1"] = Value(np.zeros((12, 3)))
-    assert (params.n_inputs, params.hidden) == (12, 3)
+    model = classifier_model(n_inputs=10, seed=0, hidden=6)
+    assert classify(Value(np.zeros((2, 10))), model).fc_features[0].shape == (2, 6)
+    model.params["clf.W1"] = Value(np.zeros((12, 3)))
+    model.params["clf.b1"] = Value(np.zeros((1, 3)))
+    model.params["clf.W2"] = Value(np.zeros((3, 2)))
+    assert classify(Value(np.zeros((2, 12))), model).fc_features[0].shape == (2, 3)
+    with pytest.raises(ValueError, match="expects 12 inputs"):
+        classify(Value(np.zeros((2, 10))), model)
 
 
 def test_classify_probs_are_distributions():
-    params = init_classifier(n_inputs=12, seed=1, hidden=8)
-    pred = classify(Value(np.random.default_rng(1).normal(size=(5, 12))), params)
+    model = classifier_model(n_inputs=12, seed=1, hidden=8)
+    pred = classify(Value(np.random.default_rng(1).normal(size=(5, 12))), model)
     assert np.abs(pred.probs.data.sum(axis=1) - 1.0).max() <= 1e-12
     assert (pred.probs.data >= 0).all()
 
@@ -67,22 +78,22 @@ def classify_scalar_oracle(f, w1, b1, w2, b2):
 
 def test_classify_matches_scalar_oracle():
     rng = np.random.default_rng(2)
-    params = init_classifier(n_inputs=6, seed=3, hidden=4)
+    model = classifier_model(n_inputs=6, seed=3, hidden=4)
     f = rng.normal(size=(3, 6))
-    pred = classify(Value(f), params)
+    pred = classify(Value(f), model)
     hidden, logits, probs = classify_scalar_oracle(
         f.tolist(),
-        params["clf.W1"].data.tolist(), params["clf.b1"].data[0].tolist(),
-        params["clf.W2"].data.tolist(), params["clf.b2"].data[0].tolist())
+        model["clf.W1"].data.tolist(), model["clf.b1"].data[0].tolist(),
+        model["clf.W2"].data.tolist(), model["clf.b2"].data[0].tolist())
     assert np.abs(pred.fc_features[0].data - hidden).max() < 1e-10
     assert np.abs(pred.logits.data - logits).max() < 1e-10
     assert np.abs(pred.probs.data - probs).max() < 1e-10
 
 
 def test_classify_dimension_mismatch():
-    params = init_classifier(n_inputs=6, seed=4, hidden=4)
+    model = classifier_model(n_inputs=6, seed=4, hidden=4)
     with pytest.raises(ValueError, match="expects 6 inputs"):
-        classify(Value(np.zeros((2, 5))), params)
+        classify(Value(np.zeros((2, 5))), model)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +285,21 @@ def test_zero_weights_gradient_equals_cross_entropy_gradient():
     # with both weights zero, the joint gradient is the source
     # cross-entropy gradient alone
     rng = np.random.default_rng(9)
-    params = init_classifier(n_inputs=5, seed=10, hidden=4)
+    model = classifier_model(n_inputs=5, seed=10, hidden=4)
     feats_s = Value(rng.normal(size=(3, 5)))
     feats_t = Value(rng.normal(size=(3, 5)))
     labels = [0, 1, 1]
     mask = FilterMask(keep=np.array([True, True, True]), threshold=0.8)
 
     def forward():
-        pred_s = classify(feats_s, params)
-        pred_t = classify(feats_t, params)
+        pred_s = classify(feats_s, model)
+        pred_t = classify(feats_t, model)
         l_c = dk.cross_entropy(pred_s.logits, labels)
         l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
         l_a = self_opt_loss(pred_t, pred_t, mask)
         return l_c, joint_loss(l_c, l_m, l_a, LossWeights(0.0, 0.0))
 
-    plist = params.all_values()
+    plist = list(model.params.values())
     with ComputationRecord() as rec:
         l_c, total = forward()
     joint_grads = backward(total, rec, plist)

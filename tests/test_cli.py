@@ -335,6 +335,39 @@ def test_rerun_rejects_invalid_manifest_config(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("inputs", []), ("inputs", {}), ("params", []), ("command", "no-such-command")],
+    ids=["inputs-list", "inputs-empty", "params-list", "unknown-command"])
+def test_rerun_rejects_malformed_manifest(workspace, tmp_path, capsys, field, value):
+    manifest = json.loads((workspace["root"] / "pre" / "run_manifest.json").read_text())
+    manifest[field] = value
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "again"
+    assert main(["rerun", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["gamma-both", "raw-export-checkpoint", "repeated-seed"])
+def test_exit_code_flag_that_would_be_ignored(workspace, tmp_path, capsys, case):
+    source, target = str(workspace["source"]), str(workspace["target"])
+    argv, flag = {
+        "gamma-both": (["pretrain", "--source", source, "--gamma-fixed", "0.3",
+                        "--gamma-max", "0.9"], "--gamma-max"),
+        "raw-export-checkpoint": (["export-features", "--data", source, "--mode",
+                                   "raw-upper-triangle", "--checkpoint",
+                                   str(workspace["pre_ckpt"])], "--checkpoint"),
+        "repeated-seed": (["ablate", "--source", source, "--target", target,
+                           "--seeds", "0,0"], "--seeds"),
+    }[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_synth_bitwise(workspace, tmp_path):
     first = tmp_path / "s1"
     assert main(["synth", "--spec", str(workspace["specs"]),

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from aufa import diffkernel as dk
 from aufa.connectome import TimeSeries, pearson_fcn
 from aufa.diffkernel import Value, finite_diff_check
-from aufa.encoder import (AugmentInjection, EncoderConfig,
-                          attention_head, encode, encode_batch, feed_forward,
-                          init_encoder, multi_head_layer)
+from aufa.encoder import (AugmentInjection, attention_head, encode, encode_batch,
+                          feed_forward, multi_head_layer)
+from aufa.model import Model, ModelConfig, init_values, parameter_shapes
 
 
 def toy_config(n=6, layers=2, heads=2, ffn=8):
-    return EncoderConfig(n_layers=layers, n_heads=heads, d_model=n, ffn_hidden=ffn)
+    return ModelConfig(n_layers=layers, n_heads=heads, d_model=n, ffn_hidden=ffn)
+
+
+def encoder_model(cfg, seed):
+    """A model holding only the encoder weights of `cfg`. They come first in
+    `parameter_shapes` order, so `init_values` draws them as the builder does."""
+    shapes = {k: s for k, s in parameter_shapes(cfg).items() if not k.startswith("clf.")}
+    return Model(cfg, init_values(shapes, seed))
 
 
 def toy_fcn(seed, n=6):
@@ -28,30 +35,30 @@ def toy_fcn(seed, n=6):
 
 def test_init_deterministic():
     cfg = toy_config()
-    p1 = init_encoder(cfg, seed=5)
-    p2 = init_encoder(cfg, seed=5)
-    assert p1.values.keys() == p2.values.keys()
-    for k in p1.values:
+    p1 = encoder_model(cfg, seed=5)
+    p2 = encoder_model(cfg, seed=5)
+    assert p1.params.keys() == p2.params.keys()
+    for k in p1.params:
         assert np.array_equal(p1[k].data, p2[k].data)
-    p3 = init_encoder(cfg, seed=6)
+    p3 = encoder_model(cfg, seed=6)
     assert not np.array_equal(p1["layer0.head0.WQ"].data, p3["layer0.head0.WQ"].data)
 
 
 def test_init_layer_norm_gains_and_biases():
-    params = init_encoder(toy_config(), seed=0)
+    model = encoder_model(toy_config(), seed=0)
     for layer in range(2):
         for ln in ("ln1", "ln2"):
-            assert np.array_equal(params[f"layer{layer}.{ln}.g"].data, np.ones((1, 6)))
-            assert np.array_equal(params[f"layer{layer}.{ln}.b"].data, np.zeros((1, 6)))
-        assert np.array_equal(params[f"layer{layer}.b1"].data, np.zeros((1, 8)))
-        assert np.array_equal(params[f"layer{layer}.b2"].data, np.zeros((1, 6)))
+            assert np.array_equal(model[f"layer{layer}.{ln}.g"].data, np.ones((1, 6)))
+            assert np.array_equal(model[f"layer{layer}.{ln}.b"].data, np.zeros((1, 6)))
+        assert np.array_equal(model[f"layer{layer}.b1"].data, np.zeros((1, 8)))
+        assert np.array_equal(model[f"layer{layer}.b2"].data, np.zeros((1, 6)))
 
 
 def test_init_weight_mean_within_three_sigma():
-    cfg = EncoderConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, ffn_hidden=128)
-    params = init_encoder(cfg, seed=123)
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_head=8, ffn_hidden=128)
+    model = encoder_model(cfg, seed=123)
     standardized = []
-    for name, v in params.values.items():
+    for name, v in model.params.items():
         if name.endswith((".g", ".b", ".b1", ".b2")):
             continue
         bound = math.sqrt(6.0 / sum(v.shape))
@@ -149,53 +156,53 @@ def test_attention_head_matches_scalar_oracle():
 
 
 def test_single_head_layer_reduces_to_layer_norm_of_head():
-    cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=4, d_head=4, ffn_hidden=8)
-    params = init_encoder(cfg, seed=9)
-    params.values["layer0.W"] = Value(np.eye(4))
+    cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, d_head=4, ffn_hidden=8)
+    model = encoder_model(cfg, seed=9)
+    model.params["layer0.W"] = Value(np.eye(4))
     z = Value(np.random.default_rng(4).normal(size=(4, 4)))
-    head_out, _ = attention_head(z, params["layer0.head0.WQ"],
-                                 params["layer0.head0.WK"], params["layer0.head0.WV"])
+    head_out, _ = attention_head(z, model["layer0.head0.WQ"],
+                                 model["layer0.head0.WK"], model["layer0.head0.WV"])
     direct = dk.row_layer_norm(dk.matmul(head_out, Value(np.eye(4))),
-                               params["layer0.ln1.g"], params["layer0.ln1.b"],
+                               model["layer0.ln1.g"], model["layer0.ln1.b"],
                                cfg.ln_eps)
-    via_layer = multi_head_layer(z, params, 0)
+    via_layer = multi_head_layer(z, model, 0)
     assert np.abs(via_layer.data - direct.data).max() < 1e-14
 
 
 def test_layer_output_standardized_before_gain():
     cfg = toy_config(n=8, layers=1, heads=2)
-    params = init_encoder(cfg, seed=11)
+    model = encoder_model(cfg, seed=11)
     z = Value(np.random.default_rng(5).normal(size=(8, 8)))
-    out = multi_head_layer(z, params, 0)
+    out = multi_head_layer(z, model, 0)
     assert np.abs(out.data.mean(axis=1)).max() <= 1e-9
     assert np.abs(out.data.var(axis=1) - 1.0).max() <= 1e-4  # eps-deflated variance
 
 
 def test_feed_forward_zero_weights():
     cfg = toy_config(n=4, layers=1, heads=1, ffn=6)
-    params = init_encoder(cfg, seed=12)
+    model = encoder_model(cfg, seed=12)
     for name in ("W1", "W2"):
-        params.values[f"layer0.{name}"] = Value(np.zeros(params[f"layer0.{name}"].shape))
+        model.params[f"layer0.{name}"] = Value(np.zeros(model[f"layer0.{name}"].shape))
     z = Value(np.random.default_rng(6).normal(size=(4, 4)))
-    out = feed_forward(z, params, 0)
+    out = feed_forward(z, model, 0)
     assert np.array_equal(out.data, np.zeros((4, 4)))
 
 
 def test_feed_forward_shape_contract():
     cfg = toy_config(n=7, layers=1, heads=2, ffn=13)
-    params = init_encoder(cfg, seed=13)
+    model = encoder_model(cfg, seed=13)
     z = Value(np.random.default_rng(7).normal(size=(7, 7)))
-    assert feed_forward(z, params, 0).shape == (7, 7)
+    assert feed_forward(z, model, 0).shape == (7, 7)
 
 
 def test_multi_head_layer_gradient():
-    cfg = EncoderConfig(n_layers=1, n_heads=2, d_model=5, ffn_hidden=6)
-    params = init_encoder(cfg, seed=14)
+    cfg = ModelConfig(n_layers=1, n_heads=2, d_model=5, ffn_hidden=6)
+    model = encoder_model(cfg, seed=14)
     x = toy_fcn(0, n=5)
-    plist = params.all_values()
+    plist = list(model.params.values())
 
     def randomize(rng):
-        for name, p in params.values.items():
+        for name, p in model.params.items():
             if name.endswith(".g"):
                 p.data[...] = rng.uniform(0.9, 1.1, p.shape)
             elif name.endswith((".b", ".b1", ".b2")):
@@ -205,7 +212,7 @@ def test_multi_head_layer_gradient():
                 p.data[...] = rng.uniform(-a, a, p.shape)
 
     err = finite_diff_check(
-        lambda: dk.sum_squares(feed_forward(multi_head_layer(Value(x.values), params, 0), params, 0)),
+        lambda: dk.sum_squares(feed_forward(multi_head_layer(Value(x.values), model, 0), model, 0)),
         plist, seeds=2, randomize=randomize)
     assert err <= 1e-4
 
@@ -215,10 +222,10 @@ def test_multi_head_layer_gradient():
 
 
 def test_encode_deterministic():
-    params = init_encoder(toy_config(), seed=15)
+    model = encoder_model(toy_config(), seed=15)
     x = toy_fcn(1)
-    f1, m1 = encode(x, params)
-    f2, m2 = encode(x, params)
+    f1, m1 = encode(x, model)
+    f2, m2 = encode(x, model)
     assert np.array_equal(f1.data, f2.data)
     for key in m1.keys():
         assert np.array_equal(m1.get(*key), m2.get(*key))
@@ -226,25 +233,25 @@ def test_encode_deterministic():
 
 def test_encode_shape_and_maps():
     cfg = toy_config(n=6, layers=2, heads=2)
-    params = init_encoder(cfg, seed=16)
-    f, maps = encode(toy_fcn(2), params)
+    model = encoder_model(cfg, seed=16)
+    f, maps = encode(toy_fcn(2), model)
     assert f.shape == (1, 36)
     assert len(maps) == 4
     assert maps.stack().shape == (4, 6, 6)
 
 
 def test_encode_rejects_wrong_size():
-    params = init_encoder(toy_config(n=6), seed=17)
+    model = encoder_model(toy_config(n=6), seed=17)
     with pytest.raises(ValueError, match="6x6"):
-        encode(np.eye(5), params)
+        encode(np.eye(5), model)
 
 
 def test_encode_rejects_bad_injection_layer():
-    params = init_encoder(toy_config(), seed=18)
+    model = encoder_model(toy_config(), seed=18)
     x = toy_fcn(3)
     inj = AugmentInjection(layer_index=2, partner_features=Value(x.values), gamma=0.5)
     with pytest.raises(ValueError, match="out of range"):
-        encode(x, params, injection=inj)
+        encode(x, model, injection=inj)
 
 
 def test_injection_gamma_validated():
@@ -254,48 +261,48 @@ def test_injection_gamma_validated():
 
 
 def test_encode_gamma_zero_bitwise_identical():
-    params = init_encoder(toy_config(), seed=19)
+    model = encoder_model(toy_config(), seed=19)
     x, partner = toy_fcn(4), toy_fcn(5)
-    clean, _ = encode(x, params)
+    clean, _ = encode(x, model)
     for layer in (0, 1):
         inj = AugmentInjection(layer, Value(partner.values), gamma=0.0)
-        blended, _ = encode(x, params, injection=inj)
+        blended, _ = encode(x, model, injection=inj)
         assert np.array_equal(clean.data, blended.data)
 
 
 def test_encode_gamma_one_at_layer_zero_becomes_partner():
-    params = init_encoder(toy_config(), seed=20)
+    model = encoder_model(toy_config(), seed=20)
     x, partner = toy_fcn(6), toy_fcn(7)
-    partner_f, _ = encode(partner, params)
+    partner_f, _ = encode(partner, model)
     inj = AugmentInjection(0, Value(partner.values), gamma=1.0)
-    blended, _ = encode(x, params, injection=inj)
+    blended, _ = encode(x, model, injection=inj)
     assert np.array_equal(partner_f.data, blended.data)
 
 
 def test_encode_capture_matches_partner_path():
     # captured features at layer l are exactly what a gamma=1 injection
     # at layer l reproduces from there on
-    params = init_encoder(toy_config(), seed=21)
+    model = encoder_model(toy_config(), seed=21)
     x, partner = toy_fcn(8), toy_fcn(9)
     cap: list[Value] = []
-    partner_f, _ = encode(partner, params, capture=cap)
+    partner_f, _ = encode(partner, model, capture=cap)
     assert len(cap) == 2
     inj = AugmentInjection(1, cap[1], gamma=1.0)
-    blended, _ = encode(x, params, injection=inj)
+    blended, _ = encode(x, model, injection=inj)
     assert np.array_equal(partner_f.data, blended.data)
 
 
 def test_encode_batch_matches_per_subject_encode_bitwise():
-    params = init_encoder(toy_config(), seed=23)
+    model = encoder_model(toy_config(), seed=23)
     xs = [toy_fcn(s) for s in range(30, 34)]
     captures: list[Value] = []
     maps = []
-    feats = encode_batch(xs, params, captures=captures, maps=maps)
+    feats = encode_batch(xs, model, captures=captures, maps=maps)
     assert feats.shape == (4, 36)
     assert len(captures) == 2 and len(maps) == 4
     for pos, x in enumerate(xs):
         cap: list[Value] = []
-        f, m = encode(x, params, capture=cap)
+        f, m = encode(x, model, capture=cap)
         assert np.array_equal(feats.data[pos], f.data[0])
         for got, want in zip(captures, cap, strict=True):
             assert np.array_equal(got.data[pos], want.data)
@@ -305,27 +312,26 @@ def test_encode_batch_matches_per_subject_encode_bitwise():
     # the whole stack blended toward a permutation of its own captures
     order = [1, 2, 3, 0]
     partner = dk.permute(captures[1], order)
-    blended = encode_batch(xs, params, injection=AugmentInjection(1, partner, 0.3))
+    blended = encode_batch(xs, model, injection=AugmentInjection(1, partner, 0.3))
     for pos, x in enumerate(xs):
         inj = AugmentInjection(1, Value(captures[1].data[order[pos]]), 0.3)
-        assert np.array_equal(blended.data[pos], encode(x, params, injection=inj)[0].data[0])
+        assert np.array_equal(blended.data[pos], encode(x, model, injection=inj)[0].data[0])
 
 
 def test_encode_batch_rejects_mismatched_partner_stack():
-    params = init_encoder(toy_config(), seed=25)
+    model = encoder_model(toy_config(), seed=25)
     xs = [toy_fcn(s) for s in range(3)]
     inj = AugmentInjection(0, Value(np.zeros((2, 6, 6))), 0.5)
     with pytest.raises(ValueError, match="partner features"):
-        encode_batch(xs, params, injection=inj)
+        encode_batch(xs, model, injection=inj)
     with pytest.raises(ValueError, match="at least one subject"):
-        encode_batch([], params)
+        encode_batch([], model)
 
 
 def _classifier_gradients(model, loss_of):
-    params = model.param_dict()
     with dk.ComputationRecord() as rec:
         loss = loss_of()
-    return dict(zip(params, dk.backward(loss, rec, params.values())))
+    return dict(zip(model.params, dk.backward(loss, rec, model.params.values())))
 
 
 @pytest.mark.parametrize("batch", [1, 4, 32])
@@ -339,12 +345,12 @@ def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
     labels = [s % 2 for s in range(batch)]
 
     def batched():
-        pred = classify(encode_batch(xs, model.encoder), model.classifier)
+        pred = classify(encode_batch(xs, model), model)
         return dk.cross_entropy(pred.logits, labels)
 
     def per_subject():
-        rows = dk.concat_rows([encode(x, model.encoder)[0] for x in xs])
-        return dk.cross_entropy(classify(rows, model.classifier).logits, labels)
+        rows = dk.concat_rows([encode(x, model)[0] for x in xs])
+        return dk.cross_entropy(classify(rows, model).logits, labels)
 
     got = _classifier_gradients(model, batched)
     want = _classifier_gradients(model, per_subject)
@@ -372,19 +378,19 @@ def test_training_builds_no_attention_maps(monkeypatch):
     model, _, _ = pretrain(source, cfg)
     adapt(model, source, target, cfg)
     assert built == []
-    encode(toy_fcn(0), model.encoder)
+    encode(toy_fcn(0), model)
     assert built == [1]
 
 
-_PERMUTATION_PARAMS = init_encoder(toy_config(), seed=27)
+_PERMUTATION_MODEL = encoder_model(toy_config(), seed=27)
 _PERMUTATION_XS = [toy_fcn(200 + s) for s in range(6)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(6)))
 def test_permuting_subjects_permutes_feature_rows_bitwise(order):
-    feats = encode_batch(_PERMUTATION_XS, _PERMUTATION_PARAMS).data
-    permuted = encode_batch([_PERMUTATION_XS[k] for k in order], _PERMUTATION_PARAMS).data
+    feats = encode_batch(_PERMUTATION_XS, _PERMUTATION_MODEL).data
+    permuted = encode_batch([_PERMUTATION_XS[k] for k in order], _PERMUTATION_MODEL).data
     assert np.array_equal(permuted, feats[list(order)])
 
 
@@ -392,9 +398,9 @@ def test_attention_rows_stochastic_across_random_calls():
     rng = np.random.default_rng(22)
     for trial in range(100):
         cfg = toy_config(n=int(rng.integers(4, 9)), layers=2, heads=2)
-        params = init_encoder(cfg, seed=int(rng.integers(1_000_000)))
+        model = encoder_model(cfg, seed=int(rng.integers(1_000_000)))
         x = pearson_fcn(TimeSeries("s", rng.standard_normal((25, cfg.d_model))))
-        _, maps = encode(x, params)
+        _, maps = encode(x, model)
         for key in maps.keys():
             a = maps.get(*key)
             assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-9
@@ -403,11 +409,11 @@ def test_attention_rows_stochastic_across_random_calls():
 
 def test_full_encode_gradient():
     cfg = toy_config(n=6, layers=2, heads=2)
-    params = init_encoder(cfg, seed=23)
+    model = encoder_model(cfg, seed=23)
     x = toy_fcn(10)
 
     def randomize(rng):
-        for name, p in params.values.items():
+        for name, p in model.params.items():
             if name.endswith(".g"):
                 p.data[...] = rng.uniform(0.9, 1.1, p.shape)
             elif name.endswith((".b", ".b1", ".b2")):
@@ -416,6 +422,6 @@ def test_full_encode_gradient():
                 a = math.sqrt(6.0 / sum(p.shape))
                 p.data[...] = rng.uniform(-a, a, p.shape)
 
-    err = finite_diff_check(lambda: dk.sum_squares(encode(x, params)[0]),
-                            params.all_values(), seeds=2, randomize=randomize)
+    err = finite_diff_check(lambda: dk.sum_squares(encode(x, model)[0]),
+                            list(model.params.values()), seeds=2, randomize=randomize)
     assert err <= 1e-4

@@ -224,7 +224,7 @@ def test_encoded_export_matches_direct_encode():
     model = build_model(5, 2, 2, 8, 8, 1e-5, seed=3)
     table = export_features(ds, "encoded", model)
     for row, rec in zip(table.features, ds.subjects):
-        f, _ = encode(rec.fcn, model.encoder)
+        f, _ = encode(rec.fcn, model)
         assert np.array_equal(row, f.data[0])
 
 

@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -276,8 +278,8 @@ def test_pretrain_zero_epochs_keeps_init():
     cfg = tiny_config(epochs_pretrain=0)
     model, state, log = pretrain(source, cfg)
     fresh = model_for(cfg)
-    for name, v in model.param_dict().items():
-        assert np.array_equal(v.data, fresh.param_dict()[name].data)
+    for name, v in model.params.items():
+        assert np.array_equal(v.data, fresh.params[name].data)
     assert state.t == 0
     assert log.records == []
 
@@ -329,7 +331,7 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
 
     # independent pure source-training loop with identical rng consumption
     model_b = model_for(cfg)
-    params = model_b.param_dict()
+    params = model_b.params
     state = OptimizerState()
     rng = _rng_children(cfg.seed)[3]
     for _ in range(cfg.epochs_adapt):
@@ -339,15 +341,15 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
             labels = [source.subjects[i].label for i in batch.source_indices]
             with ComputationRecord() as rec:
                 rows = [__import__("aufa.encoder", fromlist=["encode"]).encode(
-                    source.subjects[i].fcn, model_b.encoder)[0]
+                    source.subjects[i].fcn, model_b)[0]
                     for i in batch.source_indices]
-                pred = classify(dk.concat_rows(rows), model_b.classifier)
+                pred = classify(dk.concat_rows(rows), model_b)
                 loss = dk.cross_entropy(pred.logits, labels)
             grads = backward(loss, rec, params.values())
             adam_step(params, dict(zip(params, grads)), state,
                       cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
-    for name, v in model_a.param_dict().items():
+    for name, v in model_a.params.items():
         assert np.array_equal(v.data, params[name].data), name
 
 
@@ -367,8 +369,8 @@ def test_adapt_bitwise_reproducible():
     m1, log1 = adapt(model_for(cfg), source, target, cfg)
     m2, log2 = adapt(model_for(cfg), source, target, cfg)
     assert log1.records == log2.records
-    for name, v in m1.param_dict().items():
-        assert np.array_equal(v.data, m2.param_dict()[name].data)
+    for name, v in m1.params.items():
+        assert np.array_equal(v.data, m2.params[name].data)
 
 
 def test_adapt_rejects_mismatched_dimensions():
@@ -383,7 +385,7 @@ def test_joint_backward_equals_sum_of_parts():
     source, target = tiny_datasets(per_class=8)
     cfg = tiny_config(seed=4)
     model = model_for(cfg)
-    params = model.param_dict()
+    params = model.params
     batch = sample_paired_batches(source, target, cfg.batch_size,
                                   _rng_children(cfg.seed)[3])[0]
     from aufa.encoder import AugmentInjection, encode
@@ -391,22 +393,22 @@ def test_joint_backward_equals_sum_of_parts():
     labels = [source.subjects[i].label for i in batch.source_indices]
 
     def forward():
-        rows_s = [encode(source.subjects[i].fcn, model.encoder)[0]
+        rows_s = [encode(source.subjects[i].fcn, model)[0]
                   for i in batch.source_indices]
-        pred_s = classify(dk.concat_rows(rows_s), model.classifier)
+        pred_s = classify(dk.concat_rows(rows_s), model)
         l_c = dk.cross_entropy(pred_s.logits, labels)
         caps, rows_t = [], []
         for i in batch.target_indices:
             cap = []
-            f, _ = encode(target.subjects[i].fcn, model.encoder, capture=cap)
+            f, _ = encode(target.subjects[i].fcn, model, capture=cap)
             caps.append(cap)
             rows_t.append(f)
-        pred_t = classify(dk.concat_rows(rows_t), model.classifier)
+        pred_t = classify(dk.concat_rows(rows_t), model)
         l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
-        rows_a = [encode(target.subjects[i].fcn, model.encoder,
+        rows_a = [encode(target.subjects[i].fcn, model,
                          injection=AugmentInjection(1, caps[batch.partners[pos]][1], 0.4))[0]
                   for pos, i in enumerate(batch.target_indices)]
-        pred_a = classify(dk.concat_rows(rows_a), model.classifier)
+        pred_a = classify(dk.concat_rows(rows_a), model)
         mask = confidence_filter(pred_t, pred_a, 0.6)
         l_a = self_opt_loss(pred_t, pred_a, mask)
         return l_c, l_m, l_a
@@ -491,17 +493,17 @@ def test_identical_batches_give_identical_deltas():
     source, target = tiny_datasets(per_class=8)
     cfg = tiny_config(seed=2)
     model = model_for(cfg)
-    params = model.param_dict()
+    params = model.params
     batch = sample_source_batches(source, cfg.batch_size,
                                   np.random.default_rng(0))[0]
     labels = [source.subjects[i].label for i in batch]
     from aufa.encoder import encode
 
     def one_step(m, state):
-        p = m.param_dict()
+        p = m.params
         with ComputationRecord() as rec:
-            rows = [encode(source.subjects[i].fcn, m.encoder)[0] for i in batch]
-            pred = classify(dk.concat_rows(rows), m.classifier)
+            rows = [encode(source.subjects[i].fcn, m)[0] for i in batch]
+            pred = classify(dk.concat_rows(rows), m)
             loss = dk.cross_entropy(pred.logits, labels)
         adam_step(p, dict(zip(p, backward(loss, rec, p.values()))), state, cfg.lr)
 
@@ -515,8 +517,8 @@ def test_identical_batches_give_identical_deltas():
                                 t=state.t)
     one_step(model, state)
     one_step(mid, state_copy)
-    for name, v in model.param_dict().items():
-        assert np.array_equal(v.data, mid.param_dict()[name].data), name
+    for name, v in model.params.items():
+        assert np.array_equal(v.data, mid.params[name].data), name
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +547,24 @@ SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]
 
 
 def assert_same_bits(model, again):
-    assert again.encoder.config == model.encoder.config
-    assert again.classifier.hidden == model.classifier.hidden
-    assert list(again.param_dict()) == list(model.param_dict())
-    for name, v in model.param_dict().items():
+    assert again.config == model.config
+    assert list(again.params) == list(model.params)
+    for name, v in model.params.items():
         # array_equal would treat -0.0 and 0.0 as equal
         assert np.array_equal(v.data.view(np.uint64),
-                              again.param_dict()[name].data.view(np.uint64)), name
+                              again.params[name].data.view(np.uint64)), name
 
 
 def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_config()
     model = model_for(cfg)
-    model.param_dict()["clf.W2"].data.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    model.params["clf.W2"].data.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
     path = tmp_path / "ckpt.bin"
     save_checkpoint(model, path)
     again = load_checkpoint(path)
     assert_same_bits(model, again)
     # loaded parameters are writable, as Adam updates them in place
-    assert all(v.data.flags.writeable for v in again.param_dict().values())
+    assert all(v.data.flags.writeable for v in again.params.values())
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
@@ -585,7 +586,7 @@ def test_checkpoint_round_trip_property(n_rois, n_layers, n_heads, d_head, ffn_h
                                         clf_hidden, fill):
     model = build_model(n_rois, n_layers, n_heads, ffn_hidden, clf_hidden, 1e-5,
                         seed=0, d_head=d_head)
-    for v in model.param_dict().values():
+    for v in model.params.values():
         flat = v.data.reshape(-1)
         flat[:len(fill)] = fill[:flat.size]
     with tempfile.TemporaryDirectory() as tmp:
@@ -639,9 +640,26 @@ def test_checkpoint_failed_rename_keeps_old_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
 
 
+def test_model_imports_neither_encoder_nor_adaptation():
+    # the package __init__ imports every module, so load aufa.model under a
+    # bare aufa package in a fresh interpreter
+    import aufa
+
+    code = ("import importlib, sys, types\n"
+            "pkg = types.ModuleType('aufa')\n"
+            "pkg.__path__ = [sys.argv[1]]\n"
+            "sys.modules['aufa'] = pkg\n"
+            "importlib.import_module('aufa.model')\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('aufa.'))))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(Path(aufa.__file__).parent)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "aufa.model" in out
+    assert "aufa.encoder" not in out and "aufa.adaptation" not in out
+
+
 def test_clone_model_is_independent():
     cfg = tiny_config()
     model = model_for(cfg)
     twin = clone_model(model)
-    twin.param_dict()["clf.W2"].data[...] = 0.0
-    assert np.abs(model.param_dict()["clf.W2"].data).max() > 0
+    twin.params["clf.W2"].data[...] = 0.0
+    assert np.abs(model.params["clf.W2"].data).max() > 0
