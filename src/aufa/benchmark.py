@@ -82,9 +82,6 @@ class AblationResult:
     def mean_accuracy(self, name: str) -> float:
         return float(np.mean([r.accuracy for r in self.reports[name]]))
 
-    def std_accuracy(self, name: str) -> float:
-        return float(np.std([r.accuracy for r in self.reports[name]]))
-
     def table_rows(self) -> list[dict]:
         rows = []
         for name in ("pretrain",) + VARIANT_NAMES:

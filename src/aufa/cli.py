@@ -4,9 +4,9 @@ Every command resolves its inputs and configuration up front, runs, and
 writes a run manifest (run_manifest.json) into the output directory; the
 `rerun` command re-executes any manifest and reproduces the same output
 files byte for byte. Exit codes: 0 success, 1 runtime failure, 2 bad
-flags, invalid configuration, malformed input data (a dataset manifest,
-time-series or connectivity CSV), a malformed checkpoint or one that does
-not fit a dataset's region count.
+flags or run manifest, invalid configuration, malformed input data (a
+dataset manifest, time-series or connectivity CSV), a malformed checkpoint
+or one that does not fit a dataset's region count.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from pathlib import Path
 from . import benchmark as bm
 from .connectome import DataError, SiteSpec, load_dataset, load_timeseries, \
     pearson_fcn, save_dataset, synth_multisite, write_csv_matrix
-from .evalreport import ConnectionRanking, aggregate_attention, evaluate_model, \
-    export_features, predict_dataset
+from .evalreport import ConnectionRanking, aggregate_attention, attention_maps, \
+    evaluate_model, export_features
 from .gradcheck import run_suite
 from .model import CheckpointError, load_checkpoint, read_checkpoint_config, \
     save_checkpoint
@@ -108,37 +108,30 @@ def _check_checkpoint(checkpoint_path: str, *manifest_paths: str,
 
 def _build_request(args: argparse.Namespace) -> dict:
     cmd = args.command
+    inputs: dict = {}
+    params: dict = {}
+    config = _resolve_config(args) if cmd in ("pretrain", "adapt", "ablate") else None
+    if config is not None:
+        params["config"] = config.to_dict()
+        inputs["source"] = _require_file(args.source, "source manifest")
+        if cmd != "pretrain":
+            inputs["target"] = _require_file(args.target, "target manifest")
+    if cmd in ("eval", "attn-top", "export-features"):
+        inputs["data"] = _require_file(args.data, "dataset manifest")
     if cmd == "synth":
-        return {"command": cmd,
-                "inputs": {"spec": _require_file(args.spec, "site spec")},
-                "params": {}}
-    if cmd == "fcn":
-        return {"command": cmd,
-                "inputs": {"series": [_require_file(p, "time series") for p in args.series]},
-                "params": {}}
-    if cmd == "pretrain":
-        config = _resolve_config(args)
-        return {"command": cmd,
-                "inputs": {"source": _require_file(args.source, "source manifest")},
-                "params": {"config": config.to_dict()}}
-    if cmd == "adapt":
-        config = _resolve_config(args)
-        inputs = {"source": _require_file(args.source, "source manifest"),
-                  "target": _require_file(args.target, "target manifest"),
-                  "checkpoint": _require_file(args.init, "checkpoint")}
+        inputs["spec"] = _require_file(args.spec, "site spec")
+    elif cmd == "fcn":
+        inputs["series"] = [_require_file(p, "time series") for p in args.series]
+    elif cmd == "adapt":
+        inputs["checkpoint"] = _require_file(args.init, "checkpoint")
         _check_checkpoint(inputs["checkpoint"], inputs["source"], inputs["target"],
                           config=config)
-        return {"command": cmd, "inputs": inputs, "params": {"config": config.to_dict()}}
-    if cmd in ("eval", "attn-top"):
-        if cmd == "attn-top" and args.k < 1:
-            raise ConfigError("--k must be positive")
-        inputs = {"data": _require_file(args.data, "dataset manifest"),
-                  "checkpoint": _require_file(args.checkpoint, "checkpoint")}
+    elif cmd in ("eval", "attn-top"):
+        inputs["checkpoint"] = _require_file(args.checkpoint, "checkpoint")
         _check_checkpoint(inputs["checkpoint"], inputs["data"])
-        return {"command": cmd, "inputs": inputs,
-                "params": {"k": args.k} if cmd == "attn-top" else {}}
-    if cmd == "export-features":
-        inputs = {"data": _require_file(args.data, "dataset manifest")}
+        if cmd == "attn-top":
+            params["k"] = args.k
+    elif cmd == "export-features":
         if args.mode == "encoded":
             if not args.checkpoint:
                 raise ConfigError("encoded export needs --checkpoint")
@@ -146,27 +139,48 @@ def _build_request(args: argparse.Namespace) -> dict:
             _check_checkpoint(inputs["checkpoint"], inputs["data"])
         elif args.checkpoint:
             raise ConfigError("--checkpoint is only read with --mode encoded")
-        return {"command": cmd, "inputs": inputs, "params": {"mode": args.mode}}
-    if cmd == "gradcheck":
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be positive")
-        if not 1e-7 <= args.step <= 1e-3:
-            raise ConfigError("--step must lie in [1e-7, 1e-3]")
-        return {"command": cmd, "inputs": {},
-                "params": {"seeds": args.seeds, "step": args.step}}
-    if cmd == "ablate":
-        config = _resolve_config(args)
+        params["mode"] = args.mode
+    elif cmd == "gradcheck":
+        params.update(seeds=args.seeds, step=args.step)
+    elif cmd == "ablate":
         try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            params["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers: {args.seeds!r}")
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError(f"--seeds must name one or more distinct seeds: {args.seeds!r}")
-        return {"command": cmd,
-                "inputs": {"source": _require_file(args.source, "source manifest"),
-                           "target": _require_file(args.target, "target manifest")},
-                "params": {"config": config.to_dict(), "seeds": seeds}}
-    raise ConfigError(f"unknown command {cmd!r}")
+    request = {"command": cmd, "inputs": inputs, "params": params}
+    _check_values(request)
+    return request
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_values(request: dict) -> None:
+    """The input and parameter values of a request, whether built from flags
+    or read from a run manifest; the error names the flag of the bad one."""
+    inputs, params = request["inputs"], request["params"]
+    for key, value in inputs.items():
+        if key == "series":
+            if not (isinstance(value, list) and value and all(isinstance(p, str) for p in value)):
+                raise ConfigError(f"input {key} must be a list of paths, got {value!r}")
+        elif not isinstance(value, str):
+            raise ConfigError(f"input {key} must be a path, got {value!r}")
+    if "k" in params and not (_is_int(params["k"]) and params["k"] >= 1):
+        raise ConfigError(f"--k must be a positive integer, got {params['k']!r}")
+    if "mode" in params and params["mode"] not in ("raw-upper-triangle", "encoded"):
+        raise ConfigError(f"--mode must be raw-upper-triangle or encoded, got {params['mode']!r}")
+    if request["command"] == "gradcheck":
+        seeds, step = params["seeds"], params["step"]
+        if not (_is_int(seeds) and seeds >= 1):
+            raise ConfigError(f"--seeds must be a positive integer, got {seeds!r}")
+        if not ((_is_int(step) or isinstance(step, float)) and 1e-7 <= step <= 1e-3):
+            raise ConfigError(f"--step must lie in [1e-7, 1e-3], got {step!r}")
+    if request["command"] == "ablate":
+        seeds = params["seeds"]
+        if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)
+                and len(set(seeds)) == len(seeds)):
+            raise ConfigError(f"--seeds must name one or more distinct seeds: {seeds!r}")
 
 
 # the inputs and params of each command's request (an encoded export adds a checkpoint)
@@ -197,6 +211,10 @@ def _check_manifest(request, path: str) -> None:
             TrainConfig.from_dict(request["params"]["config"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config in run manifest {path}: {exc}") from None
+    try:
+        _check_values(request)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid run manifest {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +278,7 @@ def _execute(request: dict, out_dir: Path) -> int:
 
     elif cmd == "attn-top":
         model = load_checkpoint(inputs["checkpoint"])
-        _, _, maps = predict_dataset(model, datasets["data"], with_maps=True)
-        ranking = aggregate_attention(maps)
+        ranking = aggregate_attention(attention_maps(model, datasets["data"]))
         top = ranking.top(params["k"])
         ConnectionRanking(tuple(top)).write_csv(out_dir / "connections.csv")
         for i, j, w in top:

@@ -106,9 +106,6 @@ class Dataset:
     def labels(self) -> list[int | None]:
         return [s.label for s in self.subjects]
 
-    def matrices(self) -> list[np.ndarray]:
-        return [s.fcn.values for s in self.subjects]
-
 
 @dataclass(frozen=True)
 class SiteSpec:

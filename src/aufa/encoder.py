@@ -21,32 +21,6 @@ from .diffkernel import Value
 from .model import Model
 
 
-class AttentionMaps:
-    """Row-stochastic attention matrices indexed by (layer, head)."""
-
-    def __init__(self) -> None:
-        self._maps: dict[tuple[int, int], np.ndarray] = {}
-
-    def put(self, layer: int, head: int, scores: np.ndarray) -> None:
-        sums = scores.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9 or scores.min() < 0:
-            raise ValueError(f"attention map ({layer},{head}) is not row-stochastic")
-        self._maps[(layer, head)] = scores
-
-    def get(self, layer: int, head: int) -> np.ndarray:
-        return self._maps[(layer, head)]
-
-    def keys(self):
-        return sorted(self._maps.keys())
-
-    def stack(self) -> np.ndarray:
-        """All maps as one (n_maps, N, N) array in (layer, head) order."""
-        return np.stack([self._maps[k] for k in self.keys()])
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-
 @dataclass(frozen=True)
 class AugmentInjection:
     """Feature-mixing instruction: before layer `layer_index`, move the
@@ -73,23 +47,21 @@ def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Va
 
 
 def multi_head_layer(z: Value, model: Model, layer: int,
-                     maps: list[AttentionMaps] | None = None) -> Value:
+                     scores: list[np.ndarray] | None = None) -> Value:
     """Concatenate all head outputs, project back to d_model, layer-normalize.
 
     `z` is one subject's (N, N) features or a (B, N, N) stack of them. If
-    `maps` holds one AttentionMaps per subject, each head's score matrices
-    are put there.
+    `scores` is a list, each head's attention scores, shaped like `z`, are
+    appended to it.
     """
     p = f"layer{layer}"
     heads = []
     for head in range(model.config.n_heads):
-        out, scores = attention_head(
+        out, s = attention_head(
             z, model[f"{p}.head{head}.WQ"], model[f"{p}.head{head}.WK"],
             model[f"{p}.head{head}.WV"])
-        if maps is not None:
-            n = scores.shape[-1]
-            for subject_maps, s in zip(maps, scores.data.reshape(-1, n, n), strict=True):
-                subject_maps.put(layer, head, s)
+        if scores is not None:
+            scores.append(s.data)
         heads.append(out)
     projected = dk.matmul(dk.concat_cols(heads), model[f"{p}.W"])
     return dk.row_layer_norm(projected, model[f"{p}.ln1.g"], model[f"{p}.ln1.b"],
@@ -119,9 +91,13 @@ def _array(x: ConnectivityMatrix | np.ndarray | Value) -> np.ndarray:
     return x.data if isinstance(x, Value) else np.asarray(x)
 
 
-def _layers(z: Value, model: Model, injection: AugmentInjection | None,
-            capture: list[Value] | None, maps: list[AttentionMaps] | None) -> Value:
-    """Every encoder layer over `z` (one subject or a stack), then flatten."""
+def _layers(xs, model: Model, injection: AugmentInjection | None,
+            capture: list[Value] | None, scores: list[np.ndarray] | None) -> Value:
+    """Every encoder layer over the subjects of `xs` as one (B, N, N) stack,
+    then flatten each subject's features into one row."""
+    if not xs:
+        raise ValueError("the encoder needs at least one subject")
+    z = Value(np.stack([_array(x) for x in xs]))
     cfg = model.config
     n = cfg.d_model
     if z.shape[-2:] != (n, n):
@@ -137,51 +113,32 @@ def _layers(z: Value, model: Model, injection: AugmentInjection | None,
             capture.append(z)
         if injection is not None and injection.layer_index == layer:
             z = _mix(z, injection.partner_features, injection.gamma)
-        z = multi_head_layer(z, model, layer, maps)
+        z = multi_head_layer(z, model, layer, scores)
         z = feed_forward(z, model, layer)
     return dk.flatten(z)
 
 
-def encode(
-    x: ConnectivityMatrix | np.ndarray | Value,
-    model: Model,
-    injection: AugmentInjection | None = None,
-    capture: list[Value] | None = None,
-) -> tuple[Value, AttentionMaps]:
-    """Encode one subject; returns its (1, N*N) graph feature row and all
-    its attention maps.
+def encode(xs, model: Model, injection: AugmentInjection | None = None,
+           capture: list[Value] | None = None) -> Value:
+    """Encode the subjects of `xs` (connectivity matrices, arrays or values)
+    as one (B, N, N) stack, one graph op per layer step for the whole
+    batch; returns the (B, N*N) feature rows. Each subject's row is the
+    same bits at any stack size and position; `encode([x], model)` encodes
+    one subject.
 
-    If `injection` is given, the features entering layer `injection.layer_index`
-    are first blended toward the partner features. If `capture` is a list, the
-    unblended input features of every layer are appended to it (these are what
-    a partner subject contributes at each depth).
+    If `injection` is given, the stack entering layer `injection.layer_index`
+    is first blended toward its `partner_features`, a (B, N, N) stack (see
+    `dk.permute`). If `capture` is a list, the unblended input stack of every
+    layer is appended to it (these are what partner subjects contribute at
+    each depth).
     """
-    z = x if isinstance(x, Value) else Value(_array(x))
-    if len(z.shape) != 2:
-        raise ValueError(f"encode takes one subject's matrix, got shape {z.shape}")
-    maps = AttentionMaps()
-    return _layers(z, model, injection, capture, [maps]), maps
+    return _layers(xs, model, injection, capture, None)
 
 
-def encode_batch(xs, model: Model,
-                 captures: list[Value] | None = None,
-                 injection: AugmentInjection | None = None,
-                 maps: list[AttentionMaps] | None = None) -> Value:
-    """Encode the subjects of `xs` as one (B, N, N) stack, one graph op per
-    layer step for the whole batch; returns the (B, N*N) feature rows, row
-    k bitwise equal to `encode(xs[k], ...)`.
-
-    `injection`, if given, blends the whole stack toward its
-    `partner_features`, a (B, N, N) stack (see `dk.permute`). If `captures`
-    is a list, the stacked input of every layer is appended to it. If
-    `maps` is a list, one AttentionMaps per subject is appended to it;
-    otherwise no maps are built.
-    """
-    if not xs:
-        raise ValueError("encode_batch needs at least one subject")
-    z = Value(np.stack([_array(x) for x in xs]))
-    per_subject = [AttentionMaps() for _ in xs] if maps is not None else None
-    feats = _layers(z, model, injection, captures, per_subject)
-    if maps is not None:
-        maps.extend(per_subject)
-    return feats
+def attention(xs, model: Model) -> np.ndarray:
+    """The attention scores of every subject of `xs`, layer and head, as one
+    (B, n_layers * n_heads, N, N) array in (layer, head) order. Each map is
+    row-stochastic."""
+    scores: list[np.ndarray] = []
+    _layers(xs, model, None, None, scores)
+    return np.stack(scores, axis=1)

@@ -14,7 +14,7 @@ from . import diffkernel as dk
 from .adaptation import classify
 from .connectome import ConnectivityMatrix, Dataset
 from .diffkernel import Value
-from .encoder import AttentionMaps, encode_batch
+from .encoder import attention, encode
 from .model import Model
 
 
@@ -111,29 +111,35 @@ def full_report(pred_labels, scores, true_labels) -> MetricsReport:
 EVAL_BUDGET = 4 * 116 * 116
 
 
-def _encode_cohort(model: Model, dataset: Dataset,
-                   maps: list[AttentionMaps] | None = None) -> Value:
-    """Graph feature rows of every subject, in stacks of EVAL_BUDGET input
-    elements (at least one subject each)."""
+def _stacks(dataset: Dataset) -> list[list[ConnectivityMatrix]]:
+    """The subjects' matrices in stacks of EVAL_BUDGET input elements (at
+    least one subject each)."""
     xs = [s.fcn for s in dataset.subjects]
     size = max(1, EVAL_BUDGET // dataset.n_rois ** 2)
-    return dk.concat_rows([encode_batch(xs[i:i + size], model, maps=maps)
-                           for i in range(0, len(xs), size)])
+    return [xs[i:i + size] for i in range(0, len(xs), size)]
 
 
-def predict_dataset(model: Model, dataset: Dataset, with_maps: bool = False):
-    """Encode and classify every subject; returns (labels, scores, maps)."""
-    maps: list[AttentionMaps] = []
-    feats = _encode_cohort(model, dataset, maps if with_maps else None)
-    pred = classify(feats, model)
-    return pred.hard_labels(), pred.positive_scores(), maps
+def _encode_cohort(model: Model, dataset: Dataset) -> Value:
+    """Graph feature rows of every subject."""
+    return dk.concat_rows([encode(xs, model) for xs in _stacks(dataset)])
+
+
+def attention_maps(model: Model, dataset: Dataset) -> np.ndarray:
+    """Every subject's attention maps, (n_subjects, n_layers * n_heads, N, N)."""
+    return np.concatenate([attention(xs, model) for xs in _stacks(dataset)])
+
+
+def predict_dataset(model: Model, dataset: Dataset):
+    """Encode and classify every subject; returns (labels, scores)."""
+    pred = classify(_encode_cohort(model, dataset), model)
+    return pred.hard_labels(), pred.positive_scores()
 
 
 def evaluate_model(model: Model, dataset: Dataset) -> MetricsReport:
     labels = dataset.labels()
     if any(l is None for l in labels):
         raise ValueError("evaluation needs a fully labelled dataset")
-    pred, scores, _ = predict_dataset(model, dataset)
+    pred, scores = predict_dataset(model, dataset)
     return full_report(pred, scores, labels)
 
 
@@ -157,16 +163,14 @@ class ConnectionRanking:
                 fh.write(f"{i},{j},{repr(w)}\n")
 
 
-def aggregate_attention(maps_list: list[AttentionMaps]) -> ConnectionRanking:
-    """Mean attention over subjects, layers and heads, symmetrized; the
-    diagonal is excluded and ties break on (i, j) order."""
-    if not maps_list:
-        raise ValueError("aggregate_attention needs at least one subject")
-    stacks = [m.stack() for m in maps_list]
-    shape = stacks[0].shape
-    if any(s.shape != shape for s in stacks):
-        raise ValueError("attention maps must share shape across subjects")
-    stacked = np.concatenate(stacks, axis=0)
+def aggregate_attention(maps: np.ndarray) -> ConnectionRanking:
+    """Mean attention over subjects, layers and heads of a (subjects, maps,
+    N, N) array (see `attention_maps`), symmetrized; the diagonal is
+    excluded and ties break on (i, j) order."""
+    if maps.ndim != 4 or not maps.size:
+        raise ValueError(f"aggregate_attention needs a non-empty (subjects, maps, N, N) "
+                         f"array, got shape {maps.shape}")
+    stacked = maps.reshape(-1, *maps.shape[2:])
     # per-entry sort fixes the summation order, so the mean (and hence the
     # ranking) is exactly invariant to subject and head ordering
     mean = np.sort(stacked, axis=0).sum(axis=0) / stacked.shape[0]

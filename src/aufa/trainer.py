@@ -24,7 +24,7 @@ from .adaptation import (FilterMask, LossWeights, Prediction, classify,
                          confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from .connectome import Dataset
 from .diffkernel import ComputationRecord, Value, backward
-from .encoder import AugmentInjection, encode_batch
+from .encoder import AugmentInjection, encode
 from .model import Model, ModelConfig, build_model
 
 
@@ -303,7 +303,7 @@ def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerStat
         losses = []
         for batch in sample_source_batches(source, config.batch_size, pretrain_rng):
             def source_loss():
-                pred = classify(encode_batch(_fcns(source, batch), model), model)
+                pred = classify(encode(_fcns(source, batch), model), model)
                 loss = dk.cross_entropy(pred.logits, [source.subjects[i].label for i in batch])
                 return loss, loss.item()
 
@@ -331,19 +331,19 @@ def joint_objective(model: Model, source_x, labels, target_x, partners,
     target batch is not encoded at all. Returns the loss and a dict of
     `loss_c`, `loss_m`, `loss_a`, `loss_joint` and `kept_fraction`.
     """
-    pred_s = classify(encode_batch(source_x, model), model)
+    pred_s = classify(encode(source_x, model), model)
     l_c = dk.cross_entropy(pred_s.logits, labels)
     l_m = l_a = dk.scalar(0.0)
     kept = 0.0
     if weights.lambda1 != 0.0 or weights.lambda2 != 0.0:
-        captures: list[Value] = []
-        pred_t = classify(encode_batch(target_x, model, captures=captures), model)
+        capture: list[Value] = []
+        pred_t = classify(encode(target_x, model, capture=capture), model)
         if weights.lambda1 != 0.0:
             l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
         if weights.lambda2 != 0.0:
-            partner = dk.permute(captures[layer], partners)
+            partner = dk.permute(capture[layer], partners)
             injection = AugmentInjection(layer, partner, gamma)
-            pred_a = classify(encode_batch(target_x, model, injection=injection), model)
+            pred_a = classify(encode(target_x, model, injection=injection), model)
             keep = mask(pred_t, pred_a)
             l_a = self_opt_loss(pred_t, pred_a, keep)
             kept = keep.kept_fraction

@@ -19,7 +19,7 @@ from aufa.benchmark import benchmark_datasets, run_ablation
 from aufa.cli import main as cli_main
 from aufa.connectome import SiteSpec, TimeSeries, pearson_fcn, synth_multisite
 from aufa.diffkernel import ComputationRecord, Value, backward
-from aufa.encoder import AugmentInjection, encode
+from aufa.encoder import AugmentInjection, attention, encode
 from aufa.evalreport import (auc, betweenness_centrality, local_efficiency)
 from aufa.gradcheck import run_suite
 from aufa.model import Model, ModelConfig, build_model, init_values, parameter_shapes
@@ -86,10 +86,8 @@ def test_criterion_03_attention_rows_stochastic():
         cfg = ModelConfig(n_layers=2, n_heads=2, d_model=n, ffn_hidden=8)
         params = Model(cfg, init_values(parameter_shapes(cfg), seed=int(rng.integers(1 << 30))))
         x = pearson_fcn(TimeSeries("s", rng.standard_normal((25, n))))
-        _, maps = encode(x, params)
-        for key in maps.keys():
-            a = maps.get(*key)
-            worst = max(worst, np.abs(a.sum(axis=1) - 1.0).max())
+        maps = attention([x], params)
+        worst = max(worst, np.abs(maps.sum(axis=-1) - 1.0).max())
     report(3, worst <= 1e-9, f"worst row-sum deviation {worst:.2e} over 100 encodes")
 
 
@@ -104,23 +102,23 @@ def test_criterion_04_blend_endpoints():
     x = pearson_fcn(TimeSeries("a", rng.standard_normal((30, 6))))
     partner = pearson_fcn(TimeSeries("b", rng.standard_normal((30, 6))))
 
-    clean, _ = encode(x, params)
+    clean = encode([x], params)
     gamma0_ok = True
     for layer in (0, 1):
-        blended, _ = encode(x, params, injection=AugmentInjection(
-            layer, Value(partner.values), 0.0))
+        blended = encode([x], params, injection=AugmentInjection(
+            layer, Value(partner.values[None]), 0.0))
         gamma0_ok &= np.array_equal(clean.data, blended.data)
 
-    partner_clean, _ = encode(partner, params)
-    blended1, _ = encode(x, params, injection=AugmentInjection(
-        0, Value(partner.values), 1.0))
+    partner_clean = encode([partner], params)
+    blended1 = encode([x], params, injection=AugmentInjection(
+        0, Value(partner.values[None]), 1.0))
     gamma1_ok = np.array_equal(partner_clean.data, blended1.data)
 
     # identical clean/blended paths give a consistency loss of exactly zero
     clf = build_model(6, 2, 2, 8, 8, 1e-5, seed=7)
-    f_clean, _ = encode(x, params)
-    f_blend, _ = encode(x, params, injection=AugmentInjection(
-        1, Value(partner.values), 0.0))
+    f_clean = encode([x], params)
+    f_blend = encode([x], params, injection=AugmentInjection(
+        1, Value(partner.values[None]), 0.0))
     p_clean = classify(f_clean, clf)
     p_blend = classify(f_blend, clf)
     mask = FilterMask(keep=np.array([True]), threshold=0.8)
@@ -180,7 +178,7 @@ def test_criterion_06_zero_weights_match_pure_source_training():
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
             with ComputationRecord() as rec:
-                rows = [encode(source.subjects[i].fcn, baseline)[0]
+                rows = [encode([source.subjects[i].fcn], baseline)
                         for i in batch.source_indices]
                 pred = classify(dk.concat_rows(rows), baseline)
                 loss = dk.cross_entropy(pred.logits, labels)

@@ -350,6 +350,55 @@ def test_rerun_rejects_malformed_manifest(workspace, tmp_path, capsys, field, va
     assert not out.exists()
 
 
+def _valid_request(workspace, command):
+    source, target = str(workspace["source"]), str(workspace["target"])
+    pre = json.loads((workspace["root"] / "pre" / "run_manifest.json").read_text())
+    inputs, params = {
+        "attn-top": ({"data": target, "checkpoint": str(workspace["pre_ckpt"])}, {"k": 3}),
+        "gradcheck": ({}, {"seeds": 1, "step": 1e-5}),
+        "ablate": ({"source": source, "target": target},
+                   {"config": pre["params"]["config"], "seeds": [0, 1]}),
+        "export-features": ({"data": source}, {"mode": "raw-upper-triangle"}),
+        "fcn": ({"series": [source]}, {}),
+    }[command]
+    return {"command": command, "inputs": inputs, "params": params}
+
+
+@pytest.mark.parametrize("command,field,key,value", [
+    ("attn-top", "params", "k", "3"), ("attn-top", "params", "k", 0),
+    ("attn-top", "params", "k", True), ("attn-top", "inputs", "data", 5),
+    ("gradcheck", "params", "seeds", 0), ("gradcheck", "params", "seeds", 1.5),
+    ("gradcheck", "params", "step", 1.0), ("gradcheck", "params", "step", "1e-5"),
+    ("ablate", "params", "seeds", [0, 0]), ("ablate", "params", "seeds", []),
+    ("ablate", "params", "seeds", "0,1"), ("ablate", "inputs", "target", None),
+    ("export-features", "params", "mode", "bogus"),
+    ("fcn", "inputs", "series", "ts.csv"), ("fcn", "inputs", "series", [5]),
+    ("fcn", "inputs", "series", [])],
+    ids=["k-string", "k-zero", "k-bool", "data-number", "gradcheck-seeds-zero",
+         "gradcheck-seeds-float", "step-out-of-range", "step-string", "repeated-seed",
+         "no-seeds", "seeds-string", "target-null", "unknown-mode", "series-string",
+         "series-number", "series-empty"])
+def test_rerun_rejects_bad_manifest_values(workspace, tmp_path, capsys,
+                                           command, field, key, value):
+    request = _valid_request(workspace, command)
+    request[field][key] = value
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(request))
+    out = tmp_path / "again"
+    assert main(["rerun", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert not out.exists()
+
+
+def test_rerun_runs_a_valid_hand_written_manifest(workspace, tmp_path):
+    # the base of the bad-value cases above is itself a valid request
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(_valid_request(workspace, "attn-top")))
+    assert main(["rerun", str(path), "--out", str(tmp_path / "again")]) == 0
+    assert len((tmp_path / "again" / "connections.csv").read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("case", ["gamma-both", "raw-export-checkpoint", "repeated-seed"])
 def test_exit_code_flag_that_would_be_ignored(workspace, tmp_path, capsys, case):
     source, target = str(workspace["source"]), str(workspace["target"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aufa import diffkernel as dk
 from aufa.connectome import TimeSeries, pearson_fcn
 from aufa.diffkernel import Value, finite_diff_check
-from aufa.encoder import (AugmentInjection, attention_head, encode, encode_batch,
+from aufa.encoder import (AugmentInjection, attention, attention_head, encode,
                           feed_forward, multi_head_layer)
 from aufa.model import Model, ModelConfig, init_values, parameter_shapes
 
@@ -224,34 +224,30 @@ def test_multi_head_layer_gradient():
 def test_encode_deterministic():
     model = encoder_model(toy_config(), seed=15)
     x = toy_fcn(1)
-    f1, m1 = encode(x, model)
-    f2, m2 = encode(x, model)
-    assert np.array_equal(f1.data, f2.data)
-    for key in m1.keys():
-        assert np.array_equal(m1.get(*key), m2.get(*key))
+    assert np.array_equal(encode([x], model).data, encode([x], model).data)
+    assert np.array_equal(attention([x], model), attention([x], model))
 
 
 def test_encode_shape_and_maps():
     cfg = toy_config(n=6, layers=2, heads=2)
     model = encoder_model(cfg, seed=16)
-    f, maps = encode(toy_fcn(2), model)
-    assert f.shape == (1, 36)
-    assert len(maps) == 4
-    assert maps.stack().shape == (4, 6, 6)
+    xs = [toy_fcn(2), toy_fcn(3), toy_fcn(4)]
+    assert encode(xs, model).shape == (3, 36)
+    assert attention(xs, model).shape == (3, 4, 6, 6)
 
 
 def test_encode_rejects_wrong_size():
     model = encoder_model(toy_config(n=6), seed=17)
     with pytest.raises(ValueError, match="6x6"):
-        encode(np.eye(5), model)
+        encode([np.eye(5)], model)
 
 
 def test_encode_rejects_bad_injection_layer():
     model = encoder_model(toy_config(), seed=18)
     x = toy_fcn(3)
-    inj = AugmentInjection(layer_index=2, partner_features=Value(x.values), gamma=0.5)
+    inj = AugmentInjection(layer_index=2, partner_features=Value(x.values[None]), gamma=0.5)
     with pytest.raises(ValueError, match="out of range"):
-        encode(x, model, injection=inj)
+        encode([x], model, injection=inj)
 
 
 def test_injection_gamma_validated():
@@ -263,19 +259,19 @@ def test_injection_gamma_validated():
 def test_encode_gamma_zero_bitwise_identical():
     model = encoder_model(toy_config(), seed=19)
     x, partner = toy_fcn(4), toy_fcn(5)
-    clean, _ = encode(x, model)
+    clean = encode([x], model)
     for layer in (0, 1):
-        inj = AugmentInjection(layer, Value(partner.values), gamma=0.0)
-        blended, _ = encode(x, model, injection=inj)
+        inj = AugmentInjection(layer, Value(partner.values[None]), gamma=0.0)
+        blended = encode([x], model, injection=inj)
         assert np.array_equal(clean.data, blended.data)
 
 
 def test_encode_gamma_one_at_layer_zero_becomes_partner():
     model = encoder_model(toy_config(), seed=20)
     x, partner = toy_fcn(6), toy_fcn(7)
-    partner_f, _ = encode(partner, model)
-    inj = AugmentInjection(0, Value(partner.values), gamma=1.0)
-    blended, _ = encode(x, model, injection=inj)
+    partner_f = encode([partner], model)
+    inj = AugmentInjection(0, Value(partner.values[None]), gamma=1.0)
+    blended = encode([x], model, injection=inj)
     assert np.array_equal(partner_f.data, blended.data)
 
 
@@ -285,47 +281,55 @@ def test_encode_capture_matches_partner_path():
     model = encoder_model(toy_config(), seed=21)
     x, partner = toy_fcn(8), toy_fcn(9)
     cap: list[Value] = []
-    partner_f, _ = encode(partner, model, capture=cap)
+    partner_f = encode([partner], model, capture=cap)
     assert len(cap) == 2
     inj = AugmentInjection(1, cap[1], gamma=1.0)
-    blended, _ = encode(x, model, injection=inj)
+    blended = encode([x], model, injection=inj)
     assert np.array_equal(partner_f.data, blended.data)
 
 
-def test_encode_batch_matches_per_subject_encode_bitwise():
+def test_encode_stack_matches_stacks_of_one_bitwise():
     model = encoder_model(toy_config(), seed=23)
     xs = [toy_fcn(s) for s in range(30, 34)]
-    captures: list[Value] = []
-    maps = []
-    feats = encode_batch(xs, model, captures=captures, maps=maps)
+    capture: list[Value] = []
+    feats = encode(xs, model, capture=capture)
+    maps = attention(xs, model)
     assert feats.shape == (4, 36)
-    assert len(captures) == 2 and len(maps) == 4
+    assert len(capture) == 2 and maps.shape == (4, 4, 6, 6)
     for pos, x in enumerate(xs):
         cap: list[Value] = []
-        f, m = encode(x, model, capture=cap)
+        f = encode([x], model, capture=cap)
         assert np.array_equal(feats.data[pos], f.data[0])
-        for got, want in zip(captures, cap, strict=True):
-            assert np.array_equal(got.data[pos], want.data)
-        assert maps[pos].keys() == m.keys()
-        assert np.array_equal(maps[pos].stack(), m.stack())
+        for got, want in zip(capture, cap, strict=True):
+            assert np.array_equal(got.data[pos], want.data[0])
+        assert np.array_equal(maps[pos], attention([x], model)[0])
 
     # the whole stack blended toward a permutation of its own captures
     order = [1, 2, 3, 0]
-    partner = dk.permute(captures[1], order)
-    blended = encode_batch(xs, model, injection=AugmentInjection(1, partner, 0.3))
+    partner = dk.permute(capture[1], order)
+    blended = encode(xs, model, injection=AugmentInjection(1, partner, 0.3))
     for pos, x in enumerate(xs):
-        inj = AugmentInjection(1, Value(captures[1].data[order[pos]]), 0.3)
-        assert np.array_equal(blended.data[pos], encode(x, model, injection=inj)[0].data[0])
+        inj = AugmentInjection(1, Value(capture[1].data[order[pos]][None]), 0.3)
+        assert np.array_equal(blended.data[pos], encode([x], model, injection=inj).data[0])
 
 
-def test_encode_batch_rejects_mismatched_partner_stack():
+def test_encode_takes_exactly_the_parameters_the_tracer_binds():
+    # perfbench's tracer wraps `encode` and calls its count hook with the
+    # call's own arguments, keyword names included, so these names are fixed
+    import inspect
+
+    assert list(inspect.signature(encode).parameters) == ["xs", "model", "injection",
+                                                           "capture"]
+
+
+def test_encode_rejects_mismatched_partner_stack():
     model = encoder_model(toy_config(), seed=25)
     xs = [toy_fcn(s) for s in range(3)]
     inj = AugmentInjection(0, Value(np.zeros((2, 6, 6))), 0.5)
     with pytest.raises(ValueError, match="partner features"):
-        encode_batch(xs, model, injection=inj)
+        encode(xs, model, injection=inj)
     with pytest.raises(ValueError, match="at least one subject"):
-        encode_batch([], model)
+        encode([], model)
 
 
 def _classifier_gradients(model, loss_of):
@@ -345,11 +349,11 @@ def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
     labels = [s % 2 for s in range(batch)]
 
     def batched():
-        pred = classify(encode_batch(xs, model), model)
+        pred = classify(encode(xs, model), model)
         return dk.cross_entropy(pred.logits, labels)
 
     def per_subject():
-        rows = dk.concat_rows([encode(x, model)[0] for x in xs])
+        rows = dk.concat_rows([encode([x], model) for x in xs])
         return dk.cross_entropy(classify(rows, model).logits, labels)
 
     got = _classifier_gradients(model, batched)
@@ -359,27 +363,40 @@ def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
 
 
 def test_training_builds_no_attention_maps(monkeypatch):
+    import sys
+
     import aufa.encoder
     from aufa.connectome import SiteSpec, synth_multisite
     from aufa.trainer import TrainConfig, adapt, pretrain
 
-    built = []
-    original = aufa.encoder.AttentionMaps.__init__
+    calls = []
+    attention_fn, layer_fn = aufa.encoder.attention, aufa.encoder.multi_head_layer
 
-    def spy(self):
-        built.append(1)
-        original(self)
+    def attention_spy(xs, model):
+        calls.append("attention")
+        return attention_fn(xs, model)
 
-    monkeypatch.setattr(aufa.encoder.AttentionMaps, "__init__", spy)
+    def layer_spy(z, model, layer, scores=None):
+        if scores is not None:
+            calls.append("scores")
+        return layer_fn(z, model, layer, scores)
+
+    # every aufa module that binds the name, as a caller looks it up there
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aufa."):
+            for attr, original, spy in (("attention", attention_fn, attention_spy),
+                                        ("multi_head_layer", layer_fn, layer_spy)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, spy)
     spec = dict(n_subjects_per_class=4, n_rois=6, series_length=40)
     source, target = synth_multisite(SiteSpec(seed=3, **spec), SiteSpec(seed=4, **spec))
     cfg = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_heads=2,
                       ffn_hidden=8, clf_hidden=8, epsilon=0.55)
     model, _, _ = pretrain(source, cfg)
     adapt(model, source, target, cfg)
-    assert built == []
-    encode(toy_fcn(0), model)
-    assert built == [1]
+    assert calls == []
+    aufa.encoder.attention([toy_fcn(0)], model)
+    assert calls == ["attention"] + ["scores"] * cfg.n_layers
 
 
 _PERMUTATION_MODEL = encoder_model(toy_config(), seed=27)
@@ -389,8 +406,8 @@ _PERMUTATION_XS = [toy_fcn(200 + s) for s in range(6)]
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(6)))
 def test_permuting_subjects_permutes_feature_rows_bitwise(order):
-    feats = encode_batch(_PERMUTATION_XS, _PERMUTATION_MODEL).data
-    permuted = encode_batch([_PERMUTATION_XS[k] for k in order], _PERMUTATION_MODEL).data
+    feats = encode(_PERMUTATION_XS, _PERMUTATION_MODEL).data
+    permuted = encode([_PERMUTATION_XS[k] for k in order], _PERMUTATION_MODEL).data
     assert np.array_equal(permuted, feats[list(order)])
 
 
@@ -400,11 +417,9 @@ def test_attention_rows_stochastic_across_random_calls():
         cfg = toy_config(n=int(rng.integers(4, 9)), layers=2, heads=2)
         model = encoder_model(cfg, seed=int(rng.integers(1_000_000)))
         x = pearson_fcn(TimeSeries("s", rng.standard_normal((25, cfg.d_model))))
-        _, maps = encode(x, model)
-        for key in maps.keys():
-            a = maps.get(*key)
-            assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-9
-            assert (a >= 0).all()
+        maps = attention([x], model)
+        assert np.abs(maps.sum(axis=-1) - 1.0).max() <= 1e-9
+        assert (maps >= 0).all()
 
 
 def test_full_encode_gradient():
@@ -422,6 +437,6 @@ def test_full_encode_gradient():
                 a = math.sqrt(6.0 / sum(p.shape))
                 p.data[...] = rng.uniform(-a, a, p.shape)
 
-    err = finite_diff_check(lambda: dk.sum_squares(encode(x, model)[0]),
+    err = finite_diff_check(lambda: dk.sum_squares(encode([x], model)),
                             list(model.params.values()), seeds=2, randomize=randomize)
     assert err <= 1e-4

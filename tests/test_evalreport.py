@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from aufa.connectome import ConnectivityMatrix, SiteSpec, synth_multisite
-from aufa.encoder import AttentionMaps
-from aufa.evalreport import (BinaryGraph, aggregate_attention, auc,
+from aufa.evalreport import (BinaryGraph, aggregate_attention, attention_maps, auc,
                              betweenness_centrality, binarize_fcn,
                              evaluate_model, export_features, full_report,
                              hard_metrics, linear_probe, local_efficiency,
@@ -116,14 +115,13 @@ def test_auc_single_class_rejected():
 
 
 def one_map(m):
-    maps = AttentionMaps()
-    maps.put(0, 0, np.asarray(m, dtype=float))
-    return maps
+    """One subject's attention: a single (layer, head) map."""
+    return np.asarray(m, dtype=float)[None, None]
 
 
 def test_aggregate_single_map_hand_case():
     m = [[0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.6, 0.2, 0.2]]
-    ranking = aggregate_attention([one_map(m)])
+    ranking = aggregate_attention(one_map(m))
     # symmetrized: (0,1)=0.3, (0,2)=0.45, (1,2)=0.45; tie broken by (i,j)
     assert ranking.entries[0][:2] == (0, 2)
     assert ranking.entries[0][2] == pytest.approx(0.45, abs=1e-12)
@@ -138,7 +136,7 @@ def test_aggregate_identical_maps_rank_symmetrized_entries():
     rng = np.random.default_rng(2)
     raw = rng.uniform(0.1, 1.0, size=(4, 4))
     m = raw / raw.sum(axis=1, keepdims=True)
-    ranking = aggregate_attention([one_map(m)] * 3)
+    ranking = aggregate_attention(np.concatenate([one_map(m)] * 3))
     sym = (m + m.T) / 2.0
     weights = sorted((sym[i, j] for i in range(4) for j in range(i + 1, 4)),
                      reverse=True)
@@ -152,8 +150,8 @@ def test_aggregate_subject_order_invariant():
     for _ in range(4):
         raw = rng.uniform(0.1, 1.0, size=(5, 5))
         maps.append(one_map(raw / raw.sum(axis=1, keepdims=True)))
-    a = aggregate_attention(maps)
-    b = aggregate_attention(maps[::-1])
+    a = aggregate_attention(np.concatenate(maps))
+    b = aggregate_attention(np.concatenate(maps[::-1]))
     assert a.entries == b.entries
 
 
@@ -163,24 +161,22 @@ def test_aggregate_head_order_invariant():
     raw2 = rng.uniform(0.1, 1.0, size=(4, 4))
     m1 = raw1 / raw1.sum(axis=1, keepdims=True)
     m2 = raw2 / raw2.sum(axis=1, keepdims=True)
-    a = AttentionMaps()
-    a.put(0, 0, m1)
-    a.put(0, 1, m2)
-    b = AttentionMaps()
-    b.put(0, 0, m2)
-    b.put(0, 1, m1)
-    assert aggregate_attention([a]).entries == aggregate_attention([b]).entries
+    a = np.stack([m1, m2])[None]
+    b = np.stack([m2, m1])[None]
+    assert aggregate_attention(a).entries == aggregate_attention(b).entries
 
 
 def test_aggregate_empty_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        aggregate_attention([])
+    with pytest.raises(ValueError, match="non-empty"):
+        aggregate_attention(np.zeros((0, 1, 3, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        aggregate_attention(np.eye(3))
 
 
 def test_ranking_weights_nonincreasing():
     rng = np.random.default_rng(5)
     raw = rng.uniform(0.1, 1.0, size=(6, 6))
-    ranking = aggregate_attention([one_map(raw / raw.sum(axis=1, keepdims=True))])
+    ranking = aggregate_attention(one_map(raw / raw.sum(axis=1, keepdims=True)))
     ws = [w for _, _, w in ranking.entries]
     assert all(a >= b for a, b in zip(ws, ws[1:]))
 
@@ -224,29 +220,31 @@ def test_encoded_export_matches_direct_encode():
     model = build_model(5, 2, 2, 8, 8, 1e-5, seed=3)
     table = export_features(ds, "encoded", model)
     for row, rec in zip(table.features, ds.subjects):
-        f, _ = encode(rec.fcn, model)
-        assert np.array_equal(row, f.data[0])
+        assert np.array_equal(row, encode([rec.fcn], model).data[0])
 
 
 def test_eval_stacks_give_the_same_bits_at_any_size(monkeypatch):
-    """predict_dataset and the encoded export do not depend on how many
-    subjects share an encoder stack: 1, 4 (a ragged last stack) or all 6."""
+    """predict_dataset, the encoded export and the attention maps do not
+    depend on how many subjects share an encoder stack: 1, 4 (a ragged last
+    stack) or all 6."""
     import aufa.evalreport as er
 
     ds = tiny_dataset(n_rois=5)
     model = build_model(5, 2, 2, 8, 8, 1e-5, seed=13)
     stacks = []
-    original = er.encode_batch
-    monkeypatch.setattr(er, "encode_batch",
-                        lambda xs, *a, **kw: stacks.append(len(xs)) or original(xs, *a, **kw))
+    for name in ("encode", "attention"):
+        original = getattr(er, name)
+        monkeypatch.setattr(er, name, lambda xs, *a, original=original, **kw:
+                            stacks.append(len(xs)) or original(xs, *a, **kw))
     runs = []
     for size in (1, 4, len(ds)):
         monkeypatch.setattr(er, "EVAL_BUDGET", size * 5 * 5)
         stacks.clear()
-        labels, scores, maps = predict_dataset(model, ds, with_maps=True)
+        labels, scores = predict_dataset(model, ds)
         feats = export_features(ds, "encoded", model).features
-        assert stacks == 2 * [min(size, len(ds) - i) for i in range(0, len(ds), size)]
-        runs.append((labels, scores, feats, np.stack([m.stack() for m in maps])))
+        maps = attention_maps(model, ds)
+        assert stacks == 3 * [min(size, len(ds) - i) for i in range(0, len(ds), size)]
+        runs.append((labels, scores, feats, maps))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert np.array_equal(got, want) and got.dtype == want.dtype
@@ -542,12 +540,12 @@ def test_evaluate_model_random_init_near_chance():
     assert rep.tp + rep.fp + rep.tn + rep.fn == len(ds)
 
 
-def test_predict_dataset_collects_maps():
+def test_attention_maps_cover_every_subject():
     ds = tiny_dataset(n_rois=5)
     model = build_model(5, 2, 2, 8, 8, 1e-5, seed=12)
-    _, _, maps = predict_dataset(model, ds, with_maps=True)
-    assert len(maps) == len(ds)
-    assert all(len(m) == 4 for m in maps)
+    maps = attention_maps(model, ds)
+    assert maps.shape == (len(ds), 4, 5, 5)
+    assert np.abs(maps.sum(axis=-1) - 1.0).max() <= 1e-9
 
 
 def test_full_report_includes_auc():

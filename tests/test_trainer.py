@@ -305,7 +305,7 @@ def test_pretrain_reaches_high_train_accuracy():
                           clf_hidden=32, seed=seed)
         model, _, log = pretrain(source, cfg)
         assert all(np.isfinite(r["loss_c"]) for r in log.records)
-        pred, _, _ = predict_dataset(model, source)
+        pred, _ = predict_dataset(model, source)
         accs.append((pred == np.array(source.labels())).mean())
     assert np.mean(accs) >= 0.95
 
@@ -341,7 +341,7 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
             labels = [source.subjects[i].label for i in batch.source_indices]
             with ComputationRecord() as rec:
                 rows = [__import__("aufa.encoder", fromlist=["encode"]).encode(
-                    source.subjects[i].fcn, model_b)[0]
+                    [source.subjects[i].fcn], model_b)
                     for i in batch.source_indices]
                 pred = classify(dk.concat_rows(rows), model_b)
                 loss = dk.cross_entropy(pred.logits, labels)
@@ -393,20 +393,20 @@ def test_joint_backward_equals_sum_of_parts():
     labels = [source.subjects[i].label for i in batch.source_indices]
 
     def forward():
-        rows_s = [encode(source.subjects[i].fcn, model)[0]
+        rows_s = [encode([source.subjects[i].fcn], model)
                   for i in batch.source_indices]
         pred_s = classify(dk.concat_rows(rows_s), model)
         l_c = dk.cross_entropy(pred_s.logits, labels)
         caps, rows_t = [], []
         for i in batch.target_indices:
             cap = []
-            f, _ = encode(target.subjects[i].fcn, model, capture=cap)
+            f = encode([target.subjects[i].fcn], model, capture=cap)
             caps.append(cap)
             rows_t.append(f)
         pred_t = classify(dk.concat_rows(rows_t), model)
         l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
-        rows_a = [encode(target.subjects[i].fcn, model,
-                         injection=AugmentInjection(1, caps[batch.partners[pos]][1], 0.4))[0]
+        rows_a = [encode([target.subjects[i].fcn], model,
+                         injection=AugmentInjection(1, caps[batch.partners[pos]][1], 0.4))
                   for pos, i in enumerate(batch.target_indices)]
         pred_a = classify(dk.concat_rows(rows_a), model)
         mask = confidence_filter(pred_t, pred_a, 0.6)
@@ -434,8 +434,8 @@ def test_zero_weight_terms_cost_no_encodes(monkeypatch, lambda1, lambda2, encode
     source, target = tiny_datasets(per_class=8)
     cfg = tiny_config(lambda1=lambda1, lambda2=lambda2, epochs_adapt=1)
     subjects = []
-    original = aufa.trainer.encode_batch
-    monkeypatch.setattr(aufa.trainer, "encode_batch",
+    original = aufa.trainer.encode
+    monkeypatch.setattr(aufa.trainer, "encode",
                         lambda xs, *a, **k: subjects.append(len(xs)) or original(xs, *a, **k))
     adapt(model_for(cfg), source, target, cfg)
     steps = len(target) // cfg.batch_size
@@ -502,7 +502,7 @@ def test_identical_batches_give_identical_deltas():
     def one_step(m, state):
         p = m.params
         with ComputationRecord() as rec:
-            rows = [encode(source.subjects[i].fcn, m)[0] for i in batch]
+            rows = [encode([source.subjects[i].fcn], m) for i in batch]
             pred = classify(dk.concat_rows(rows), m)
             loss = dk.cross_entropy(pred.logits, labels)
         adam_step(p, dict(zip(p, backward(loss, rec, p.values()))), state, cfg.lr)
