@@ -9,6 +9,9 @@ that the adapted model recovers most of the in-domain accuracy.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,20 +111,79 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
-                 seeds=(0, 1, 2, 3, 4)) -> AblationResult:
-    """Pretrain once per seed, then adapt each ablation variant from the
-    same pretrained weights; evaluates everything on the labelled target."""
+# Per-process BLAS thread limits, in the order OpenBLAS reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def default_workers(n_seeds: int) -> int:
+    """Seed processes for `run_ablation`: as many as the usable cores hold
+    at one process's BLAS thread count, and no more than there are seeds.
+    With no limit set BLAS spreads over every core, so that is one: its
+    threads spin, and a forked child cannot re-pin a BLAS already loaded."""
+    usable = len(os.sched_getaffinity(0))
+    blas_threads = usable
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, min(n_seeds, usable // blas_threads))
+
+
+def _ablate_seed(source: Dataset, target: Dataset, config: TrainConfig,
+                 seed: int) -> list[MetricsReport]:
+    """Pretrain at `seed`, then adapt each variant from a clone of the
+    pretrained model; target reports, pretrain first, then VARIANT_NAMES."""
     weights = variant_weights(config)
-    reports: dict[str, list[MetricsReport]] = {n: [] for n in ("pretrain",) + VARIANT_NAMES}
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        pretrained, _, _ = pretrain(source, cfg)
-        reports["pretrain"].append(evaluate_model(pretrained, target))
-        for name in VARIANT_NAMES:
-            l1, l2 = weights[name]
-            variant_cfg = replace(cfg, lambda1=l1, lambda2=l2)
-            variant_model = clone_model(pretrained)
-            adapt(variant_model, source, target, variant_cfg)
-            reports[name].append(evaluate_model(variant_model, target))
-    return AblationResult(seeds=tuple(int(s) for s in seeds), reports=reports)
+    cfg = replace(config, seed=int(seed))
+    pretrained, _, _ = pretrain(source, cfg)
+    reports = [evaluate_model(pretrained, target)]
+    for name in VARIANT_NAMES:
+        l1, l2 = weights[name]
+        variant_model = clone_model(pretrained)
+        adapt(variant_model, source, target, replace(cfg, lambda1=l1, lambda2=l2))
+        reports.append(evaluate_model(variant_model, target))
+    return reports
+
+
+# (source, target, config), set only in a forked seed worker
+_worker_inputs: tuple | None = None
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _ablate_seed_in_worker(seed: int) -> list[MetricsReport]:
+    return _ablate_seed(*_worker_inputs, seed)
+
+
+def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
+                 seeds=(0, 1, 2, 3, 4), workers: int | None = None) -> AblationResult:
+    """Pretrain once per seed, then adapt each ablation variant from the
+    same pretrained weights; evaluates everything on the labelled target.
+
+    Seeds are independent. `workers` forked processes (default
+    `default_workers`) run them; `workers=1` runs them one after another
+    in this process. The result is the same either way. Workers are
+    forked, not spawned, so that they inherit the datasets instead of
+    unpickling a copy per seed; a caller that runs threads of its own
+    should pass `workers=1`."""
+    seeds = tuple(int(s) for s in seeds)
+    workers = default_workers(len(seeds)) if workers is None else workers
+    if workers == 1:
+        per_seed = [_ablate_seed(source, target, config, seed) for seed in seeds]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(source, target, config)) as pool:
+            futures = [pool.submit(_ablate_seed_in_worker, seed) for seed in seeds]
+            try:
+                per_seed = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    names = ("pretrain",) + VARIANT_NAMES
+    return AblationResult(seeds=seeds, reports={
+        name: [reports[i] for reports in per_seed] for i, name in enumerate(names)})

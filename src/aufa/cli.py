@@ -110,33 +110,28 @@ def _build_request(args: argparse.Namespace) -> dict:
     cmd = args.command
     inputs: dict = {}
     params: dict = {}
-    config = _resolve_config(args) if cmd in ("pretrain", "adapt", "ablate") else None
-    if config is not None:
-        params["config"] = config.to_dict()
-        inputs["source"] = _require_file(args.source, "source manifest")
+    if cmd in ("pretrain", "adapt", "ablate"):
+        params["config"] = _resolve_config(args).to_dict()
+        inputs["source"] = args.source
         if cmd != "pretrain":
-            inputs["target"] = _require_file(args.target, "target manifest")
+            inputs["target"] = args.target
     if cmd in ("eval", "attn-top", "export-features"):
-        inputs["data"] = _require_file(args.data, "dataset manifest")
+        inputs["data"] = args.data
     if cmd == "synth":
-        inputs["spec"] = _require_file(args.spec, "site spec")
+        inputs["spec"] = args.spec
     elif cmd == "fcn":
-        inputs["series"] = [_require_file(p, "time series") for p in args.series]
+        inputs["series"] = args.series
     elif cmd == "adapt":
-        inputs["checkpoint"] = _require_file(args.init, "checkpoint")
-        _check_checkpoint(inputs["checkpoint"], inputs["source"], inputs["target"],
-                          config=config)
+        inputs["checkpoint"] = args.init
     elif cmd in ("eval", "attn-top"):
-        inputs["checkpoint"] = _require_file(args.checkpoint, "checkpoint")
-        _check_checkpoint(inputs["checkpoint"], inputs["data"])
+        inputs["checkpoint"] = args.checkpoint
         if cmd == "attn-top":
             params["k"] = args.k
     elif cmd == "export-features":
         if args.mode == "encoded":
             if not args.checkpoint:
                 raise ConfigError("encoded export needs --checkpoint")
-            inputs["checkpoint"] = _require_file(args.checkpoint, "checkpoint")
-            _check_checkpoint(inputs["checkpoint"], inputs["data"])
+            inputs["checkpoint"] = args.checkpoint
         elif args.checkpoint:
             raise ConfigError("--checkpoint is only read with --mode encoded")
         params["mode"] = args.mode
@@ -149,7 +144,28 @@ def _build_request(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--seeds must be comma-separated integers: {args.seeds!r}")
     request = {"command": cmd, "inputs": inputs, "params": params}
     _check_values(request)
+    _check_inputs(request)
     return request
+
+
+# what each input file is, for the message when it is missing
+_INPUT_NAMES = {"source": "source manifest", "target": "target manifest",
+                "data": "dataset manifest", "spec": "site spec", "series": "time series",
+                "checkpoint": "checkpoint"}
+
+
+def _check_inputs(request: dict) -> None:
+    """Every input file must exist (its path is made absolute in place), and
+    a checkpoint must fit the request's config, if any, and its datasets."""
+    inputs = request["inputs"]
+    for key, value in inputs.items():
+        inputs[key] = ([_require_file(p, _INPUT_NAMES[key]) for p in value]
+                       if key == "series" else _require_file(value, _INPUT_NAMES[key]))
+    if "checkpoint" in inputs:
+        config = request["params"].get("config")
+        _check_checkpoint(inputs["checkpoint"],
+                          *(inputs[k] for k in ("source", "target", "data") if k in inputs),
+                          config=None if config is None else TrainConfig.from_dict(config))
 
 
 def _is_int(value) -> bool:
@@ -213,7 +229,8 @@ def _check_manifest(request, path: str) -> None:
             raise ConfigError(f"invalid config in run manifest {path}: {exc}") from None
     try:
         _check_values(request)
-    except ConfigError as exc:
+        _check_inputs(request)
+    except (ConfigError, CheckpointError) as exc:
         raise ConfigError(f"invalid run manifest {path}: {exc}") from None
 
 
@@ -227,7 +244,9 @@ def _write_json(payload, path: Path) -> None:
         fh.write("\n")
 
 
-def _execute(request: dict, out_dir: Path) -> int:
+def _execute(request: dict, out_dir: Path, workers: int | None = None) -> int:
+    """Run a request; `workers` is the number of `ablate` seed processes
+    (default: `benchmark.default_workers`)."""
     cmd = request["command"]
     inputs = request["inputs"]
     params = request["params"]
@@ -306,7 +325,7 @@ def _execute(request: dict, out_dir: Path) -> int:
     elif cmd == "ablate":
         config = TrainConfig.from_dict(params["config"])
         result = bm.run_ablation(datasets["source"], datasets["target"], config,
-                                 seeds=params["seeds"])
+                                 seeds=params["seeds"], workers=workers)
         rows = result.table_rows()
         _write_json({"seeds": list(result.seeds), "rows": rows},
                     out_dir / "ablation.json")
@@ -364,9 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output directory (default $AUFA_OUT/<command>)")
-        p.add_argument("--serial", action="store_true",
-                       help="force fully sequential execution (the default mode)")
         return p
+
+    def add_serial(p):
+        p.add_argument("--serial", action="store_true",
+                       help="run the ablation seeds one after another in this process "
+                            "(the outputs are the same)")
 
     p = add("synth", "generate paired source/target datasets from a site-spec JSON")
     p.add_argument("--spec", required=True)
@@ -407,10 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--seeds", default="0,1,2,3,4")
+    add_serial(p)
     _add_config_flags(p)
 
     p = add("rerun", "re-execute a previous run from its manifest")
     p.add_argument("manifest")
+    add_serial(p)
 
     return parser
 
@@ -440,8 +464,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    workers = 1 if getattr(args, "serial", False) else None
     try:
-        return _execute(request, out_dir)
+        return _execute(request, out_dir, workers)
     except (ConfigError, CheckpointError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class DataError(ValueError):
@@ -235,6 +234,8 @@ def _class_loadings(n_rois: int, separation: float, rng: np.random.Generator):
 
 def _site_mixing(spec: SiteSpec, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal channel-mixing matrix, exp of a scaled random skew matrix."""
+    from scipy.linalg import expm  # here, not at the top: only synth needs slow scipy.linalg
+
     a = rng.standard_normal((spec.n_rois, spec.n_rois))
     skew = (a - a.T) / 2.0
     skew /= max(np.abs(skew).max(), 1e-12)

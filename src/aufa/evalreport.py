@@ -8,7 +8,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import diffkernel as dk
 from .adaptation import classify
@@ -84,7 +83,9 @@ def auc(scores, true_labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    ranks = rankdata(s)  # average ranks on ties
+    # 1-based ranks, tied scores sharing their run's mean rank (a half-integer)
+    _, run, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     r_pos = ranks[y == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 

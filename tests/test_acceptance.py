@@ -293,14 +293,14 @@ def test_criterion_10_rerun_bitwise(tmp_path):
              "--n-layers", "2", "--n-heads", "2", "--ffn-hidden", "8",
              "--clf-hidden", "8"]
     ok = True
-    assert cli_main(["synth", "--spec", str(spec_path), "--serial",
+    assert cli_main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "d1")]) == 0
     assert cli_main(["rerun", str(tmp_path / "d1" / "run_manifest.json"),
                      "--serial", "--out", str(tmp_path / "d2")]) == 0
     ok &= tree(tmp_path / "d1") == tree(tmp_path / "d2")
 
     source = tmp_path / "d1" / "source" / "manifest.json"
-    assert cli_main(["pretrain", "--source", str(source), "--serial",
+    assert cli_main(["pretrain", "--source", str(source),
                      "--out", str(tmp_path / "p1"), *flags]) == 0
     assert cli_main(["rerun", str(tmp_path / "p1" / "run_manifest.json"),
                      "--serial", "--out", str(tmp_path / "p2")]) == 0
@@ -309,7 +309,7 @@ def test_criterion_10_rerun_bitwise(tmp_path):
     target = tmp_path / "d1" / "target" / "manifest.json"
     assert cli_main(["adapt", "--source", str(source), "--target", str(target),
                      "--init", str(tmp_path / "p1" / "checkpoint.bin"),
-                     "--serial", "--out", str(tmp_path / "a1"), *flags]) == 0
+                     "--out", str(tmp_path / "a1"), *flags]) == 0
     assert cli_main(["rerun", str(tmp_path / "a1" / "run_manifest.json"),
                      "--serial", "--out", str(tmp_path / "a2")]) == 0
     ok &= tree(tmp_path / "a1") == tree(tmp_path / "a2")

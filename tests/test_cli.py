@@ -367,6 +367,8 @@ def _valid_request(workspace, command):
 @pytest.mark.parametrize("command,field,key,value", [
     ("attn-top", "params", "k", "3"), ("attn-top", "params", "k", 0),
     ("attn-top", "params", "k", True), ("attn-top", "inputs", "data", 5),
+    ("attn-top", "inputs", "data", "no-such-dir/manifest.json"),
+    ("attn-top", "inputs", "data", "<8-region data>"),
     ("gradcheck", "params", "seeds", 0), ("gradcheck", "params", "seeds", 1.5),
     ("gradcheck", "params", "step", 1.0), ("gradcheck", "params", "step", "1e-5"),
     ("ablate", "params", "seeds", [0, 0]), ("ablate", "params", "seeds", []),
@@ -374,14 +376,15 @@ def _valid_request(workspace, command):
     ("export-features", "params", "mode", "bogus"),
     ("fcn", "inputs", "series", "ts.csv"), ("fcn", "inputs", "series", [5]),
     ("fcn", "inputs", "series", [])],
-    ids=["k-string", "k-zero", "k-bool", "data-number", "gradcheck-seeds-zero",
+    ids=["k-string", "k-zero", "k-bool", "data-number", "data-missing",
+         "data-does-not-fit-checkpoint", "gradcheck-seeds-zero",
          "gradcheck-seeds-float", "step-out-of-range", "step-string", "repeated-seed",
          "no-seeds", "seeds-string", "target-null", "unknown-mode", "series-string",
          "series-number", "series-empty"])
-def test_rerun_rejects_bad_manifest_values(workspace, tmp_path, capsys,
+def test_rerun_rejects_bad_manifest_values(workspace, data8, tmp_path, capsys,
                                            command, field, key, value):
     request = _valid_request(workspace, command)
-    request[field][key] = value
+    request[field][key] = str(data8) if value == "<8-region data>" else value
     path = tmp_path / "run_manifest.json"
     path.write_text(json.dumps(request))
     out = tmp_path / "again"
