@@ -119,8 +119,17 @@ def default_workers(n_seeds: int) -> int:
     """Seed processes for `run_ablation`: as many as the usable cores hold
     at one process's BLAS thread count, and no more than there are seeds.
     With no limit set BLAS spreads over every core, so that is one: its
-    threads spin, and a forked child cannot re-pin a BLAS already loaded."""
-    usable = len(os.sched_getaffinity(0))
+    threads spin, and a forked child cannot re-pin a BLAS already loaded.
+    It is also one where `fork` is not available, and where a function the
+    seeds call has been wrapped in this process (`__wrapped__` set, as
+    `functools.wraps` and perfbench's tracer set it): a wrapper that
+    records calls would not see those of a forked worker."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or any(hasattr(fn, "__wrapped__")
+                   for fn in (pretrain, adapt, evaluate_model, clone_model))):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
     blas_threads = usable
     for var in BLAS_THREAD_VARS:
         value = os.environ.get(var, "")
@@ -166,15 +175,20 @@ def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
 
     Seeds are independent. `workers` forked processes (default
     `default_workers`) run them; `workers=1` runs them one after another
-    in this process. The result is the same either way. Workers are
-    forked, not spawned, so that they inherit the datasets instead of
-    unpickling a copy per seed; a caller that runs threads of its own
-    should pass `workers=1`."""
+    in this process. The result is the same either way, but each worker
+    holds its own models and optimizer state, so the peak memory is about
+    `workers` times one seed's. Workers are forked, not spawned, so that
+    they inherit the datasets instead of unpickling a copy per seed; a
+    caller that runs threads of its own should pass `workers=1`. The first
+    seed, in seed order, that raises re-raises here, as in the one-process
+    loop, and the workers still running are killed at once; a worker that
+    dies (killed for memory, say) raises `BrokenProcessPool`."""
     seeds = tuple(int(s) for s in seeds)
     workers = default_workers(len(seeds)) if workers is None else workers
     if workers == 1:
         per_seed = [_ablate_seed(source, target, config, seed) for seed in seeds]
     else:
+        others = multiprocessing.active_children()
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
                                  initargs=(source, target, config)) as pool:
@@ -182,7 +196,12 @@ def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
             try:
                 per_seed = [f.result() for f in futures]
             except BaseException:
-                pool.shutdown(cancel_futures=True)
+                # the other seeds' results would be thrown away: kill the
+                # workers, which breaks the pool and fails the queued seeds;
+                # leaving the block then joins them
+                for process in multiprocessing.active_children():
+                    if process not in others:
+                        process.terminate()
                 raise
     names = ("pretrain",) + VARIANT_NAMES
     return AblationResult(seeds=seeds, reports={

@@ -385,11 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default $AUFA_OUT/<command>)")
         return p
 
-    def add_serial(p):
-        p.add_argument("--serial", action="store_true",
-                       help="run the ablation seeds one after another in this process "
-                            "(the outputs are the same)")
-
     p = add("synth", "generate paired source/target datasets from a site-spec JSON")
     p.add_argument("--spec", required=True)
 
@@ -429,12 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--seeds", default="0,1,2,3,4")
-    add_serial(p)
+    p.add_argument("--serial", action="store_true",
+                   help="run the seeds one after another in this process "
+                        "(the outputs are the same)")
     _add_config_flags(p)
 
     p = add("rerun", "re-execute a previous run from its manifest")
     p.add_argument("manifest")
-    add_serial(p)
 
     return parser
 

@@ -296,14 +296,14 @@ def test_criterion_10_rerun_bitwise(tmp_path):
     assert cli_main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "d1")]) == 0
     assert cli_main(["rerun", str(tmp_path / "d1" / "run_manifest.json"),
-                     "--serial", "--out", str(tmp_path / "d2")]) == 0
+                     "--out", str(tmp_path / "d2")]) == 0
     ok &= tree(tmp_path / "d1") == tree(tmp_path / "d2")
 
     source = tmp_path / "d1" / "source" / "manifest.json"
     assert cli_main(["pretrain", "--source", str(source),
                      "--out", str(tmp_path / "p1"), *flags]) == 0
     assert cli_main(["rerun", str(tmp_path / "p1" / "run_manifest.json"),
-                     "--serial", "--out", str(tmp_path / "p2")]) == 0
+                     "--out", str(tmp_path / "p2")]) == 0
     ok &= tree(tmp_path / "p1") == tree(tmp_path / "p2")
 
     target = tmp_path / "d1" / "target" / "manifest.json"
@@ -311,7 +311,7 @@ def test_criterion_10_rerun_bitwise(tmp_path):
                      "--init", str(tmp_path / "p1" / "checkpoint.bin"),
                      "--out", str(tmp_path / "a1"), *flags]) == 0
     assert cli_main(["rerun", str(tmp_path / "a1" / "run_manifest.json"),
-                     "--serial", "--out", str(tmp_path / "a2")]) == 0
+                     "--out", str(tmp_path / "a2")]) == 0
     ok &= tree(tmp_path / "a1") == tree(tmp_path / "a2")
 
     report(10, ok, "synth, pretrain, and adapt reruns reproduce outputs byte-for-byte")

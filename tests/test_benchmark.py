@@ -1,9 +1,12 @@
 """Seed-parallel ablation: the forked workers give the in-process loop's
 results bit for bit, and leave no process behind."""
 
+import functools
 import multiprocessing
 import os
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -61,6 +64,29 @@ def test_default_workers(monkeypatch, env, cpus, n_seeds, expected):
     assert bm.default_workers(n_seeds) == expected
 
 
+def test_default_workers_without_affinity(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert bm.default_workers(5) == 3
+
+
+def test_default_workers_one_without_fork(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert bm.default_workers(5) == 1
+
+
+def test_default_workers_one_when_a_seed_function_is_wrapped(monkeypatch):
+    # a call recorder in this process would miss a forked worker's calls
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert bm.default_workers(5) == 4
+    monkeypatch.setattr(bm, "adapt", functools.wraps(bm.adapt)(lambda *a, **k: None))
+    assert bm.default_workers(5) == 1
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_seed_raises_and_leaves_no_process(data, workers):
     source, target = data
@@ -81,6 +107,32 @@ def test_failing_seed_cancels_pending_seeds(data, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="seed 0 failed"):
         bm.run_ablation(*data, CONFIG, seeds=range(12), workers=2)
     assert len(list(tmp_path.glob("started-*"))) < 12
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_seed_kills_running_seeds(data, monkeypatch):
+    def seed_run(source, target, config, seed):
+        time.sleep(0.5)  # seed 1 is running by now
+        if seed == 0:
+            raise ValueError("seed 0 failed")
+        time.sleep(60)
+    monkeypatch.setattr(bm, "_ablate_seed", seed_run)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="seed 0 failed"):
+        bm.run_ablation(*data, CONFIG, seeds=(0, 1), workers=2)
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_raises_instead_of_hanging(data, monkeypatch):
+    def seed_run(source, target, config, seed):
+        if seed == 1:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+        time.sleep(0.5)
+        return []
+    monkeypatch.setattr(bm, "_ablate_seed", seed_run)
+    with pytest.raises(BrokenProcessPool):
+        bm.run_ablation(*data, CONFIG, seeds=(0, 1, 2), workers=2)
     assert multiprocessing.active_children() == []
 
 

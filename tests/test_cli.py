@@ -306,7 +306,7 @@ def test_rerun_reproduces_bitwise(workspace, tmp_path):
                  "--out", str(first), "--seed", "7", *TRAIN_FLAGS]) == 0
     second = tmp_path / "second"
     assert main(["rerun", str(first / "run_manifest.json"),
-                 "--out", str(second), "--serial"]) == 0
+                 "--out", str(second)]) == 0
     assert read_tree(first) == read_tree(second)
 
 
