@@ -24,6 +24,10 @@ value's adjoint in place only once it holds an array that backward itself
 allocated; it never writes into an array a vjp returned. Without an active
 record, operations run as plain forward evaluation.
 
+A weight of two or more columns that only `affine`s on 2-D inputs reach
+has the gradient sum(x.T @ g), at paper scale far larger than its factors;
+backward keeps it as its list of (x, g) factors, in summation order.
+
 An op whose output is not finite raises a ValueError naming the op and
 the output's shape.
 """
@@ -46,12 +50,12 @@ class Value:
 
     __slots__ = ("data", "node_id")
 
-    def __init__(self, data) -> None:
+    def __init__(self, data, _finite: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim not in (2, 3):
             raise ValueError(
                 f"Value requires a 2-D matrix or a (B, r, c) stack, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not _finite and not np.isfinite(arr).all():  # _finite: an op checked it
             raise ValueError("Value data must be finite")
         self.data = arr
         self.node_id = next(_node_ids)
@@ -111,9 +115,9 @@ def _non_finite(op: str, data: np.ndarray) -> ValueError:
     return ValueError(f"{op} produced non-finite data of shape {data.shape}")
 
 
-def _emit(op: str, inputs: tuple[Value, ...], out_data: np.ndarray, vjp) -> Value:
+def _emit(op: str, inputs: tuple[Value, ...], out_data: np.ndarray, vjp, finite=False) -> Value:
     try:
-        out = Value(out_data)
+        out = Value(out_data, finite)
     except ValueError:  # every op returns a 2-D or 3-D array, so not finite
         raise _non_finite(op, out_data) from None
     if _ACTIVE:
@@ -138,14 +142,26 @@ def _fold(acc: np.ndarray | None, parts: np.ndarray, in_place: bool) -> np.ndarr
     return out
 
 
-def backward(loss: Value, record: ComputationRecord,
-             wrt: Iterable[Value]) -> list[np.ndarray]:
+def factor_sum(factors: list, rows: slice = slice(None), out=None) -> np.ndarray:
+    """Rows `rows` of x1.T @ g1 + x2.T @ g2 + ..., summed left to right (into
+    `out`): bitwise the whole sum's rows, but for a one-row slice (a GEMV)."""
+    (x, g), *rest = factors
+    out = np.matmul(x[:, rows].T, g, out=out)
+    for x, g in rest:
+        out += x[:, rows].T @ g
+    return out
+
+
+def backward(loss: Value, record: ComputationRecord, wrt: Iterable[Value],
+             factored: bool = False) -> list:
     """d(loss)/d(v) for each v in `wrt`, in order; exact zeros for a v the
     loss does not reach.
 
     Pure: no Value is written, so two calls on one record return the same
     bits. The results are read-only arrays and may share memory with one
-    another.
+    another. With `factored`, a factored gradient (see the module
+    docstring) is returned as its list of (x, g) factors; factor_sum of it
+    is the array, bit for bit. The factors are arrays of the record.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -161,11 +177,18 @@ def backward(loss: Value, record: ComputationRecord,
         g = adjoint.get(out_id) if out_id in wanted else adjoint.pop(out_id, None)
         if g is None:
             continue
+        if isinstance(g, list):  # a weight computed in the graph
+            g = factor_sum(g)
         for v, dv in zip(node.inputs, node.vjp(g)):
             if dv is None:
                 continue
             vid = v.node_id
             acc = adjoint.get(vid)
+            if isinstance(dv, list) and (acc is None or isinstance(acc, list)):
+                adjoint[vid] = (acc or []) + dv
+                continue
+            acc = factor_sum(acc) if isinstance(acc, list) else acc  # factors sum first
+            dv = factor_sum(dv) if isinstance(dv, list) else dv
             if dv.ndim > v.data.ndim:
                 acc = _fold(acc, dv, vid in owned)
             elif acc is None:
@@ -179,8 +202,10 @@ def backward(loss: Value, record: ComputationRecord,
             owned.add(vid)
     grads = [adjoint[v.node_id] if v.node_id in adjoint else np.zeros_like(v.data)
              for v in wrt]
+    grads = [factor_sum(g) if isinstance(g, list) and not factored else g for g in grads]
     for g in grads:
-        g.flags.writeable = False
+        if not isinstance(g, list):
+            g.flags.writeable = False
     return grads
 
 
@@ -240,7 +265,8 @@ def affine(x: Value, w: Value, bias: Value, relu: bool = False) -> Value:
     alone: exactly np.where(pre > 0, pre, 0.0), without a masked copy
     (slow on a data-dependent mask). Its vjp masks the cotangent as
     g * (pre > 0). A non-finite pre-activation raises naming `affine`
-    before ReLU could hide it.
+    before ReLU could hide it; the ReLU output, finite by construction,
+    is not scanned again.
     """
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine dimension mismatch: {x.shape} x {w.shape}")
@@ -259,9 +285,11 @@ def affine(x: Value, w: Value, bias: Value, relu: bool = False) -> Value:
     def vjp(g):
         if mask is not None:
             g = g * mask
-        return g @ w.data.T, _swap(x.data) @ g, g.sum(axis=-2, keepdims=True)
+        # one column is a GEMV, not sliced bitwise (factor_sum): keep it dense
+        dw = [(x.data, g)] if g.ndim == 2 and g.shape[1] > 1 else _swap(x.data) @ g
+        return g @ w.data.T, dw, g.sum(axis=-2, keepdims=True)
 
-    return _emit("affine", (x, w, bias), out, vjp)
+    return _emit("affine", (x, w, bias), out, vjp, finite=relu)
 
 
 def concat_cols(xs: Sequence[Value]) -> Value:

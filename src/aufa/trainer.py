@@ -117,43 +117,51 @@ class OptimizerState:
     t: int = 0
 
 
-# Elements per Adam chunk: 256 KB of float64, so the chunks of a parameter,
-# its gradient, both moments and the scratch buffer (1.25 MB) stay in a
-# 2 MB L2. A 256x4096 update took 10.5 ms chunked against 14.1 ms over
-# whole arrays (one core, numpy 2.4); 16K-65K elements per chunk were alike.
-ADAM_CHUNK = 32768
+# Elements per Adam chunk (1 MB). A factored gradient's chunk is formed by
+# GEMMs that read each factor's whole g, so fewer chunks read less: a
+# 13,456x4,096 update from three factors took 0.90 s at 128K and 1.03 s at
+# 32K (one core); a dense 256x4096 one, 10.1 and 9.7 ms (14.1 unchunked).
+ADAM_CHUNK = 131072
 
 
-def adam_step(params: dict[str, Value], grads: dict[str, np.ndarray],
+def adam_step(params: dict[str, Value], grads: dict[str, np.ndarray | list],
               state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[dict[str, Value], OptimizerState]:
-    """Bias-corrected Adam update of `params`, in place; `grads` are only read.
+    """Bias-corrected Adam update of `params`, in place; `grads` (arrays, or
+    factor lists from backward(..., factored=True)) are only read.
 
     The update is elementwise, so it runs chunk by chunk: whole slices
-    along each parameter's leading axis, about ADAM_CHUNK elements each
-    (at least one slice), through one chunk-sized scratch buffer. Every
-    element sees the same operations in the same order as in one pass over
-    the whole array, so the result is the same to the bit, at any strides.
+    along each parameter's leading axis, about ADAM_CHUNK elements each,
+    through chunk-sized scratch buffers; a factored gradient is formed a
+    chunk at a time (dk.factor_sum). Every element sees the same operations
+    in the same order as in one pass over the whole dense gradient, so the
+    result is the same to the bit, at any strides.
     """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for name, p in params.items():
-        if grads[name].shape != p.shape:
+        grad = grads[name]
+        shapes = ([(x.shape[1], g.shape[1]) for x, g in grad] if isinstance(grad, list)
+                  else [grad.shape])
+        if any(shape != p.shape for shape in shapes):
             raise ValueError(f"gradient shape mismatch for {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-    # a row longer than ADAM_CHUNK is a chunk of its own
-    scratch = np.empty(max([ADAM_CHUNK] + [p.data[0].size for p in params.values()]))
+    # a chunk has at most step + 1 rows, step = max(2, ADAM_CHUNK // row)
+    scratch = np.empty((2, ADAM_CHUNK + 3 * max([p.data[0].size for p in params.values()],
+                                                default=0)))
     for name, p in params.items():
-        step = max(1, ADAM_CHUNK // p.data[0].size)
-        for lo in range(0, p.shape[0], step):
-            chunk = slice(lo, lo + step)
-            x, g = p.data[chunk], grads[name][chunk]
-            m, v = state.m[name][chunk], state.v[name][chunk]
-            tmp = scratch[:x.size].reshape(x.shape)
+        grad, n = grads[name], p.shape[0]
+        # two or more rows a chunk and no one-row tail (see dk.factor_sum)
+        starts = range(0, max(1, n - 1), max(2, ADAM_CHUNK // p.data[0].size))
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            x, m, v = p.data[lo:hi], state.m[name][lo:hi], state.v[name][lo:hi]
+            tmp = scratch[0, :x.size].reshape(x.shape)
+            g = (dk.factor_sum(grad, slice(lo, hi), scratch[1, :x.size].reshape(x.shape))
+                 if isinstance(grad, list) else grad[lo:hi])
             m *= beta1
             np.multiply(g, 1.0 - beta1, out=tmp)
             m += tmp
@@ -281,7 +289,7 @@ def _step(params: dict[str, Value], state: OptimizerState, config: TrainConfig,
     the stats."""
     with ComputationRecord() as rec:
         loss, stats = objective()
-    grads = backward(loss, rec, params.values())
+    grads = backward(loss, rec, params.values(), factored=True)
     adam_step(params, dict(zip(params, grads)), state,
               config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
     return stats

@@ -237,6 +237,18 @@ def test_non_finite_output_names_the_op_and_shape():
         Value(np.array([[np.nan]]))
 
 
+def test_fused_affine_scans_for_finiteness_once(monkeypatch):
+    x, w, b = Value(rand((3, 4), seed=1)), Value(rand((4, 5), seed=2)), Value(rand((1, 5)))
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.shape(a)) or isfinite(a))
+    dk.affine(x, w, b, relu=True)       # the pre-activation only
+    assert scans == [(3, 5)]
+    dk.affine(x, w, b)
+    Value(np.ones((2, 2)))
+    assert scans == [(3, 5)] * 2 + [(2, 2)]
+
+
 def test_affine_zero_weights_replicates_bias():
     x = Value(rand((4, 3), seed=2))
     w = Value(np.zeros((3, 2)))
@@ -501,6 +513,77 @@ def test_backward_intermediate_in_wrt_keeps_its_adjoint():
     g_t, g_x = _backward_leaves_inputs_alone(loss, rec, [t, x])
     assert np.array_equal(g_t, np.ones((3, 2)) + 2.0 * t.data)
     assert np.array_equal(g_x, g_t.T + np.full((2, 3), 5.0))
+
+
+def _head_record(relus=(True, False, True), extra=None):
+    """A 5x6 weight fed by three 2-D affines (as the classifier head is by
+    the source, target and blended rows), plus an optional dense term
+    `extra(w)` recorded first ("first") or last ("last")."""
+    w = Value(rand((5, 6), seed=30))
+    b = Value(rand((1, 6), seed=31))
+    unused = Value(rand((5, 6), seed=32))
+    xs = [Value(rand((4, 5), seed=33 + i)) for i in range(3)]
+    with ComputationRecord() as rec:
+        terms = [dk.sum_squares(extra[1](w))] if extra and extra[0] == "first" else []
+        outs = [dk.affine(x, w, b, relu=r) for x, r in zip(xs, relus)]
+        terms += [dk.sum_squares(o) for o in outs]
+        if extra and extra[0] == "last":
+            terms.append(dk.sum_squares(extra[1](w)))
+        loss = terms[0]
+        for t in terms[1:]:
+            loss = dk.add(loss, t)
+    return loss, rec, w, unused, xs, outs
+
+
+def test_backward_head_gradient_is_the_left_to_right_sum_of_its_factors():
+    loss, rec, w, unused, xs, outs = _head_record()
+    parts = [x.data.T @ (2.0 * o.data) for x, o in zip(xs, outs)]  # d sum(o^2) = 2o
+    want = (parts[2] + parts[1]) + parts[0]    # the last affine's partial comes first
+    g_w, g_unused = _backward_leaves_inputs_alone(loss, rec, [w, unused])
+    assert np.array_equal(g_w.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(g_unused, np.zeros((5, 6))) and not np.signbit(g_unused).any()
+
+    factors, g_unused = backward(loss, rec, [w, unused], factored=True)
+    assert len(factors) == 3
+    assert all(fx is x.data for (fx, _), x in zip(factors, xs[::-1]))
+    assert np.array_equal(dk.factor_sum(factors).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(g_unused, np.zeros((5, 6))) and not np.signbit(g_unused).any()
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_backward_densifies_factors_in_order_before_a_dense_term(where):
+    loss, rec, w, _, xs, outs = _head_record(extra=(where, lambda w: dk.scale(w, 0.5)))
+    parts = [x.data.T @ (2.0 * o.data) for x, o in zip(xs, outs)]
+    dense = 0.5 * (2.0 * (0.5 * w.data))
+    if where == "first":        # recorded first, so summed last
+        want = ((parts[2] + parts[1]) + parts[0]) + dense
+    else:
+        want = ((dense + parts[2]) + parts[1]) + parts[0]
+    for factored in (False, True):
+        (g_w,) = backward(loss, rec, [w], factored=factored)
+        assert isinstance(g_w, np.ndarray) and not g_w.flags.writeable
+        assert np.array_equal(g_w.view(np.uint64), want.view(np.uint64))
+
+
+def test_backward_factors_only_2d_inputs_to_a_weight_of_several_columns():
+    x = Value(rand((3, 4), seed=40))
+    stack = Value(rand((2, 3, 4), seed=41))
+    w1, w6 = Value(rand((4, 1), seed=42)), Value(rand((4, 6), seed=43))
+    w0 = Value(rand((4, 6), seed=44))
+    with ComputationRecord() as rec:
+        a = dk.sum_squares(dk.affine(x, w1, Value(np.zeros((1, 1)))))     # one column
+        b = dk.sum_squares(dk.affine(stack, w6, Value(np.zeros((1, 6)))))  # a stack
+        w = dk.scale(w0, 3.0)                              # a weight the graph computes
+        c = dk.sum_squares(dk.affine(x, w, Value(np.zeros((1, 6))), relu=True))
+        loss = dk.add(dk.add(a, b), c)
+    dense = backward(loss, rec, [w1, w6, w0, w])
+    factored = backward(loss, rec, [w1, w6, w0, w], factored=True)
+    for d, f in zip(dense[:3], factored[:3]):
+        assert isinstance(f, np.ndarray)
+        assert np.array_equal(d.view(np.uint64), f.view(np.uint64))
+    ((fx, fg),) = factored[3]
+    assert fx is x.data
+    assert np.array_equal((fx.T @ fg).view(np.uint64), dense[3].view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

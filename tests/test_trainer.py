@@ -153,9 +153,64 @@ def test_adam_chunks_are_bitwise_the_whole_array_update():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
 
+def _dense_sum(factors):
+    """The gradient backward would have summed: x.T @ g, left to right."""
+    total = factors[0][0].T @ factors[0][1]
+    for x, g in factors[1:]:
+        total = total + x.T @ g
+    return total
+
+
+@pytest.mark.parametrize("n_factors", [1, 2, 3])
+def test_adam_forms_factored_gradients_bitwise_chunk_by_chunk(n_factors):
+    """Factored gradients as backward gives them (two or more columns)
+    update the same bits as their dense sums, over 3 steps, at 1, chunk - 1,
+    chunk and chunk + 1 rows (a one-row tail joins the chunk before it),
+    the 256x4096 head and rows wider than a chunk; the factors are only read."""
+    rows = ADAM_CHUNK // 2
+    shapes = {"one": (1, 2), "below": (rows - 1, 2), "at": (rows, 2),
+              "above": (rows + 1, 2), "head": (256, 4096), "tail": (9, 4096),
+              "wide_rows": (3, ADAM_CHUNK + 1)}
+    rng = np.random.default_rng(10 + n_factors)
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params = {k: Value(a.copy()) for k, a in init.items()}
+    ref = {k: Value(a.copy()) for k, a in init.items()}
+    state, ref_state = OptimizerState(), OptimizerState()
+    for _ in range(3):
+        factors = {k: [(rng.normal(size=(5, s[0])), rng.normal(size=(5, s[1])))
+                       for _ in range(n_factors)] for k, s in shapes.items()}
+        for f in factors.values():
+            for a in (a for pair in f for a in pair):
+                a.flags.writeable = False     # a write would raise
+        adam_step(params, factors, state, lr=1e-3)
+        adam_step(ref, {k: _dense_sum(f) for k, f in factors.items()}, ref_state, lr=1e-3)
+        for k in shapes:
+            for got, want in ((params[k].data, ref[k].data), (state.m[k], ref_state.m[k]),
+                              (state.v[k], ref_state.v[k])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
+
+
+def test_train_step_hands_adam_the_head_gradient_as_factors(monkeypatch):
+    """The gradient that criterion 1 checks (backward's dense sum) is the
+    one that training applies: a factored step equals a dense one bit for bit."""
+    from aufa import trainer
+
+    src, _ = tiny_datasets()
+    config = tiny_config(epochs_pretrain=1)
+    model, _, _ = pretrain(src, config)
+    seen = []
+    original = trainer.backward
+    monkeypatch.setattr(trainer, "backward", lambda loss, rec, wrt, factored=False: (
+        seen.append(factored) or original(loss, rec, wrt)))
+    dense, _, _ = pretrain(src, config)
+    assert seen and all(seen)
+    for name, p in model.params.items():
+        assert np.array_equal(p.data.view(np.uint64), dense.params[name].data.view(np.uint64))
+
+
 def test_adam_updates_a_non_contiguous_parameter_in_place():
     rng = np.random.default_rng(9)
-    for base_shape in ((5, 7), (4096, 64)):     # one chunk; eight chunks of 8 rows
+    for base_shape in ((5, 7), (4096, 64)):     # one chunk; two chunks of 32 rows
         base = rng.normal(size=base_shape)
         p = {"w": Value(base.T)}
         assert p["w"].data.base is base and not p["w"].data.flags.c_contiguous
@@ -179,8 +234,12 @@ def test_optimizer_state_holds_only_moments_and_step():
 
 def test_adam_shape_mismatch():
     p = {"w": Value(np.zeros((2, 2)))}
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="gradient shape mismatch for w"):
         adam_step(p, {"w": np.zeros((2, 3))}, OptimizerState(), lr=0.1)
+    ok = (np.ones((4, 2)), np.ones((4, 2)))
+    for bad in ((np.ones((4, 3)), np.ones((4, 2))), (np.ones((4, 2)), np.ones((4, 3)))):
+        with pytest.raises(ValueError, match="gradient shape mismatch for w"):
+            adam_step(p, {"w": [ok, bad]}, OptimizerState(), lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -663,3 +722,76 @@ def test_clone_model_is_independent():
     twin = clone_model(model)
     twin.params["clf.W2"].data[...] = 0.0
     assert np.abs(model.params["clf.W2"].data).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_aufa_step_allocates_no_dense_head_gradient(monkeypatch):
+    """From the second step on (the first allocates Adam's moments),
+    backward + adam_step allocate less than one clf.W1 beyond what is live
+    at backward's entry: the head's weight gradient is never formed whole."""
+    import tracemalloc
+
+    from aufa import trainer
+
+    src, tgt = tiny_datasets(per_class=16, n_rois=16)
+    config = TrainConfig(epochs_adapt=3, clf_hidden=4096)
+    model = model_for(config, n_rois=16)
+    entry, excess = [], []
+
+    def traced_backward(loss, rec, *args, **kwargs):
+        tracemalloc.reset_peak()
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return backward(loss, rec, *args, **kwargs)
+
+    def traced_adam_step(*args, **kwargs):
+        out = adam_step(*args, **kwargs)
+        excess.append(tracemalloc.get_traced_memory()[1] - entry[-1])
+        return out
+
+    monkeypatch.setattr(trainer, "backward", traced_backward)
+    monkeypatch.setattr(trainer, "adam_step", traced_adam_step)
+    tracemalloc.start()
+    try:
+        adapt(model, src, tgt, config)
+    finally:
+        tracemalloc.stop()
+    w1 = model.params["clf.W1"].data.nbytes
+    assert w1 == 256 * 4096 * 8 and len(excess) == 3
+    assert max(excess[1:]) < w1, [f"{e / 2**20:.1f} MB" for e in excess]
+
+
+_PAPER_SCALE_ADAPT = """
+import resource
+from aufa.connectome import SiteSpec, synth_multisite
+from aufa.trainer import TrainConfig, adapt
+from aufa.model import build_model
+
+source, target = synth_multisite(SiteSpec(16, seed=0), SiteSpec(16, seed=1))
+config = TrainConfig(epochs_adapt=2)
+model = build_model(116, config.n_layers, config.n_heads, config.ffn_hidden,
+                    config.clf_hidden, config.ln_eps, config.seed)
+adapt(model, source, target, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_paper_scale_aufa_adapt_peak_memory():
+    """ROADMAP item 5's target in tier-1: two full-AUFA steps at 116 ROIs and
+    clf_hidden 4096 (55.4M parameters, batch 32) in a fresh process. The
+    second step runs with Adam's moments live. 2.4 GB lies between the
+    1.9 GB measured with the head's gradient factored and the 3.1 GB of
+    three dense 441 MB partials."""
+    if os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 6 * 2**30:
+        pytest.skip("needs 6 GB of physical memory for a 2-3 GB subprocess")
+    import aufa
+
+    env = dict(os.environ, PYTHONPATH=str(Path(aufa.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _PAPER_SCALE_ADAPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    peak_kb = int(out.stdout.split()[-1])       # ru_maxrss is in KB on Linux
+    assert peak_kb * 1024 <= 2.4e9, f"peak RSS {peak_kb / 2**20:.2f} GB"
+
