@@ -145,7 +145,7 @@ def _ablate_seed(source: Dataset, target: Dataset, config: TrainConfig,
     pretrained model; target reports, pretrain first, then VARIANT_NAMES."""
     weights = variant_weights(config)
     cfg = replace(config, seed=int(seed))
-    pretrained, _, _ = pretrain(source, cfg)
+    pretrained, _ = pretrain(source, cfg)
     reports = [evaluate_model(pretrained, target)]
     for name in VARIANT_NAMES:
         l1, l2 = weights[name]

@@ -279,7 +279,7 @@ def _execute(request: dict, out_dir: Path, workers: int | None = None) -> int:
     elif cmd in ("pretrain", "adapt"):
         config = TrainConfig.from_dict(params["config"])
         if cmd == "pretrain":
-            model, _, log = pretrain(datasets["source"], config)
+            model, log = pretrain(datasets["source"], config)
         else:
             model = load_checkpoint(inputs["checkpoint"])
             model, log = adapt(model, datasets["source"], datasets["target"], config)

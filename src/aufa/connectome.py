@@ -2,14 +2,18 @@
 
 Raw interchange format is headerless CSV: a time-series file holds T rows
 of N comma-separated samples (one row per time point); a precomputed
-connectivity file holds an NxN matrix in the same shape. Datasets are
+connectivity file holds an NxN matrix in the same shape. A cell is any
+string float() accepts, and blank lines are skipped; numpy's C reader gives
+float()'s bits, and a file it rejects is parsed cell by cell. Datasets are
 described by a JSON manifest whose file paths are resolved relative to the
 manifest's directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,26 +143,42 @@ class SiteSpec:
 def _parse_csv_matrix(path: Path) -> np.ndarray:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    if path.is_dir():
+        raise DataError(f"{path}: is a directory, not a CSV file")
+    with contextlib.suppress(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "no data": the cell parser names the file
+        values = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                            encoding="utf-8")
+        if values.size:
+            return values
+    return _parse_csv_cells(path)
+
+
+def _parse_csv_cells(path: Path) -> np.ndarray:
+    """The cell-by-cell reference parser, which names the first bad cell."""
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")  # universal newlines
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            parsed = []
-            for col, cell in enumerate(cells):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
-                    ) from None
-            if rows and len(parsed) != len(rows[0]):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        parsed = []
+        for col, cell in enumerate(cells):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise DataError(
-                    f"{path}: ragged row {lineno} has {len(parsed)} cells, expected {len(rows[0])}"
-                )
-            rows.append(parsed)
+                    f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
+                ) from None
+        if rows and len(parsed) != len(rows[0]):
+            raise DataError(
+                f"{path}: ragged row {lineno} has {len(parsed)} cells, expected {len(rows[0])}"
+            )
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: empty file")
     return np.array(rows, dtype=np.float64)

@@ -394,14 +394,15 @@ def row_softmax(x: Value, scale: float) -> Value:
     """Row-wise softmax of scale*x, stabilized by per-row max subtraction."""
     if scale <= 0:
         raise ValueError("row_softmax scale must be positive")
-    z = float(scale) * x.data
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = float(scale) * x.data  # then exp(y - max) / sum, in place
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (float(scale) * y * (g - inner),)
+        t = g * y
+        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+        return (np.multiply(float(scale) * y, t, out=t),)
 
     return _emit("row_softmax", (x,), y, vjp)
 
@@ -413,20 +414,24 @@ def row_layer_norm(x: Value, gain: Value, offset: Value, eps: float = 1e-5) -> V
     n = x.shape[-1]
     if gain.shape != (1, n) or offset.shape != (1, n):
         raise ValueError("row_layer_norm gain/offset must be 1xN rows")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    dev = x.data - mu
-    var = (dev * dev).mean(axis=-1, keepdims=True)
+    # means as sum / n, the bits of ndarray.mean; buffers reused in place
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = dev * inv_std
-    out = xhat * gain.data + offset.data
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += offset.data
 
     def vjp(g):
-        dxhat = g * gain.data
+        dx = g * gain.data
         dgain = (g * xhat).sum(axis=-2, keepdims=True)
         doffset = g.sum(axis=-2, keepdims=True)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv_std * (dxhat - m1 - xhat * m2)
+        m1 = dx.sum(axis=-1, keepdims=True) / n
+        t = dx * xhat
+        m2 = t.sum(axis=-1, keepdims=True) / n
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv_std
         return dx, dgain, doffset
 
     return _emit("row_layer_norm", (x, gain, offset), out, vjp)

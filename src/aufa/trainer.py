@@ -295,7 +295,7 @@ def _step(params: dict[str, Value], state: OptimizerState, config: TrainConfig,
     return stats
 
 
-def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerState, RunLog]:
+def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, RunLog]:
     """Stage one: supervised training on the labelled source domain."""
     for s in source.subjects:
         if s.label is None:
@@ -321,7 +321,7 @@ def pretrain(source: Dataset, config: TrainConfig) -> tuple[Model, OptimizerStat
             "loss_c": float(np.mean(losses)), "loss_m": 0.0, "loss_a": 0.0,
             "loss_joint": float(np.mean(losses)), "kept_fraction": 0.0,
         })
-    return model, state, log
+    return model, log
 
 
 def joint_objective(model: Model, source_x, labels, target_x, partners,
@@ -360,8 +360,8 @@ def joint_objective(model: Model, source_x, labels, target_x, partners,
                   "loss_joint": loss.item(), "kept_fraction": kept}
 
 
-def adapt(model: Model, source: Dataset, target: Dataset, config: TrainConfig,
-          state: OptimizerState | None = None) -> tuple[Model, RunLog]:
+def adapt(model: Model, source: Dataset, target: Dataset,
+          config: TrainConfig) -> tuple[Model, RunLog]:
     """Stage two: minimize the joint loss on labelled source plus unlabelled
     target. Target labels are never read."""
     if source.n_rois != model.config.d_model or target.n_rois != model.config.d_model:
@@ -370,7 +370,7 @@ def adapt(model: Model, source: Dataset, target: Dataset, config: TrainConfig,
         if s.label is None:
             raise ValueError(f"unlabeled source subject {s.subject_id!r}")
     _, _, _, adapt_rng = _rng_children(config.seed)
-    state = state if state is not None else OptimizerState()
+    state = OptimizerState()
     params = model.params
     log = RunLog()
     weights = config.weights()

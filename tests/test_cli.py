@@ -209,6 +209,20 @@ def _set_cell(value):
     return edit
 
 
+def _first_csv_not_utf8(manifest: Path) -> Path:
+    csv = manifest.parent / json.loads(manifest.read_text())["subjects"][0]["path"]
+    csv.write_bytes(b"\xff" + csv.read_bytes())
+    return csv
+
+
+def _first_path_a_directory(manifest: Path) -> Path:
+    data = json.loads(manifest.read_text())
+    (manifest.parent / "subdir").mkdir()
+    data["subjects"][0]["path"] = "subdir"
+    manifest.write_text(json.dumps(data))
+    return manifest.parent / "subdir"
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_edit_manifest(lambda d: "{not json"), "is not valid UTF-8 JSON"),
     (_edit_manifest(lambda d: [d]), "the top level is not a JSON object"),
@@ -226,9 +240,11 @@ def _set_cell(value):
     (_edit_first_csv(_set_cell("abc")), "non-numeric cell 'abc'"),
     (_edit_first_csv(_set_cell("0.123")), "not symmetric"),
     (_edit_manifest(lambda d: {**d, "subjects": []}), "'subjects' is empty"),
+    (_first_csv_not_utf8, "not UTF-8 text"),
+    (_first_path_a_directory, "is a directory"),
 ], ids=["not-json", "not-object", "no-n_rois", "no-subjects", "n_rois-not-int",
         "subject-not-object", "label-not-int", "no-id", "no-path", "non-numeric-cell",
-        "asymmetric-matrix", "no-subject-entries"])
+        "asymmetric-matrix", "no-subject-entries", "csv-not-utf8", "path-is-directory"])
 def test_exit_code_malformed_dataset(workspace, tmp_path, capsys, corrupt, message):
     data = tmp_path / "source"
     shutil.copytree(workspace["source"].parent, data)

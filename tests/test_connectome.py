@@ -1,9 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from aufa import connectome
 from aufa.connectome import (ConnectivityMatrix, DataError, SiteSpec, TimeSeries,
                              load_dataset, load_timeseries, pearson_fcn,
                              save_dataset, synth_multisite, write_csv_matrix)
@@ -278,3 +284,73 @@ def test_save_and_reload_roundtrip(tmp_path):
         assert a.subject_id == b.subject_id
         assert a.label == b.label
         assert np.array_equal(a.fcn.values, b.fcn.values)
+
+
+# ---------------------------------------------------------------------------
+# CSV reading: numpy's reader must give the cell-by-cell parser's bits
+
+
+def parse_both(path):
+    """(fast path, reference parser) outcomes: the array's shape and bytes,
+    or the DataError message."""
+    def outcome(parse):
+        try:
+            values = parse(path)
+        except DataError as exc:
+            return "DataError", str(exc)
+        return values.shape, values.tobytes()
+    return outcome(connectome._parse_csv_matrix), outcome(connectome._parse_csv_cells)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1e300, -1e-300, 1.7976931348623157e308, 1.0, -3.0, 12345678901234567.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from(SPECIAL_FLOATS)
+                  | st.integers(-10**6, 10**6).map(float)))
+def test_csv_reader_returns_the_cell_parsers_bits(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_csv_matrix(values, path)
+        fast, reference = parse_both(path)
+        assert fast == reference == (values.shape, values.tobytes())
+
+
+@pytest.mark.parametrize("text", [
+    b"", b"\n \t\n", b"1,2\n   \n3,4\n", b"\n1,2\n\n3,4\n\n", b"1_0,2\n3,4\n",
+    "\u0661,2\n3,4\n".encode(), "\uff11,2\n3,4\n".encode(), b"1,2,\n3,4,\n",
+    b"1,2 # note\n3,4\n", b"# note\n1,2\n", b"\xef\xbb\xbf1,2\n3,4\n", b"1\x00,2\n3,4\n",
+    b"1,2\n\x00\n3,4\n", b"1,2\n3\n", b"1,2\r\n3,4\r\n", b"1,2\r3,4\r", b"1,2\n\x0c\n3,4\n",
+    b"1,2\x0b3,4\n", "1,2\u20283,4\n".encode(), "\xa01,2\n3,4\n".encode(),
+    b"nan,-nan\ninf,-Infinity\n", b"1e400,-1e400\n4.9e-324,2.5e-324\n", b"0x10,2\n3,4\n",
+    b"+1.5,.5\n5.,-0\n", b" 1 , 2 \n3,4\t\n", b"1 5,2\n", b'"1",2\n', b"1\t2\n3\t4\n",
+    b"1,,2\n", b"1e,2\n", b"1,2\n3,4", b"7", b"1\n2\n3\n", b"\xff1,2\n",
+], ids=["empty", "whitespace-only", "whitespace-line", "blank-lines", "underscore",
+        "arabic-digit", "fullwidth-digit", "trailing-comma", "comment", "comment-line", "bom",
+        "nul-in-cell", "nul-line", "ragged", "crlf", "cr", "form-feed-line",
+        "vertical-tab", "line-separator", "nbsp", "nan-inf", "overflow-subnormal", "hex",
+        "signs-dots", "padded", "inner-space", "quoted", "tab-separated", "empty-cell",
+        "bare-exponent", "no-final-newline", "one-cell", "one-column", "not-utf8"])
+def test_csv_reader_edge_cases_match_the_cell_parser(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    fast, reference = parse_both(path)
+    assert fast == reference
+
+
+def test_saved_cohort_loads_without_the_cell_parser(tmp_path, monkeypatch):
+    """A 116-region cohort as `save_dataset` writes it takes numpy's reader
+    for every file."""
+    spec = SiteSpec(n_subjects_per_class=1, n_rois=116, series_length=200)
+    cohort, _ = synth_multisite(spec, SiteSpec(n_subjects_per_class=1, n_rois=116, seed=1))
+    mpath = save_dataset(cohort, tmp_path / "ds")
+
+    def refuse(path):
+        raise AssertionError(f"cell-by-cell parse of {path}")
+
+    monkeypatch.setattr(connectome, "_parse_csv_cells", refuse)
+    for a, b in zip(cohort.subjects, load_dataset(mpath).subjects):
+        assert a.fcn.values.tobytes() == b.fcn.values.tobytes()

@@ -628,6 +628,72 @@ def test_every_primitive_gradient_within_tolerance():
 
 
 # ---------------------------------------------------------------------------
+# normalisation kernels against their textbook formulas, bit for bit
+
+
+def softmax_reference(x, scale):
+    z = scale * x
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (scale * y * (g - inner),)
+
+    return y, vjp
+
+
+def layer_norm_reference(x, gain, offset, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    dev = x - mu
+    var = (dev * dev).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = dev * inv_std
+    out = xhat * gain + offset
+
+    def vjp(g):
+        dxhat = g * gain
+        dgain = (g * xhat).sum(axis=-2, keepdims=True)
+        doffset = g.sum(axis=-2, keepdims=True)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv_std * (dxhat - m1 - xhat * m2), dgain, doffset
+
+    return out, vjp
+
+
+def recorded(op):
+    """The output data and the vjp of the one node `op()` records."""
+    with ComputationRecord() as rec:
+        out = op()
+    (node,) = rec.nodes
+    return out.data, node.vjp
+
+
+def same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (8, 8), (16, 16), (116, 116), (5, 4, 8),
+                                   (4, 8, 8), (4, 16, 16), (4, 116, 116)])
+def test_normalisation_kernels_give_the_reference_bits(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 30.0, shape[:-1] + (1,))
+    g = rng.standard_normal(shape)
+    n = shape[-1]
+    for scale in (1.0, 0.35):
+        y, vjp = recorded(lambda: dk.row_softmax(Value(x), scale))
+        want_y, want_vjp = softmax_reference(x, scale)
+        assert same_bits([y, *vjp(g)], [want_y, *want_vjp(g)])
+    gain, offset = rng.uniform(0.5, 1.5, (1, n)), rng.uniform(-1.0, 1.0, (1, n))
+    for eps in (1e-5, 1e-12):
+        out, vjp = recorded(lambda: dk.row_layer_norm(Value(x), Value(gain), Value(offset), eps))
+        want_out, want_vjp = layer_norm_reference(x, gain, offset, eps)
+        assert same_bits([out, *vjp(g)], [want_out, *want_vjp(g)])
+
+
+# ---------------------------------------------------------------------------
 # stacked (B, r, c) values
 
 

@@ -392,7 +392,7 @@ def test_training_builds_no_attention_maps(monkeypatch):
     source, target = synth_multisite(SiteSpec(seed=3, **spec), SiteSpec(seed=4, **spec))
     cfg = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_heads=2,
                       ffn_hidden=8, clf_hidden=8, epsilon=0.55)
-    model, _, _ = pretrain(source, cfg)
+    model, _ = pretrain(source, cfg)
     adapt(model, source, target, cfg)
     assert calls == []
     aufa.encoder.attention([toy_fcn(0)], model)

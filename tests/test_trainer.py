@@ -197,12 +197,12 @@ def test_train_step_hands_adam_the_head_gradient_as_factors(monkeypatch):
 
     src, _ = tiny_datasets()
     config = tiny_config(epochs_pretrain=1)
-    model, _, _ = pretrain(src, config)
+    model, _ = pretrain(src, config)
     seen = []
     original = trainer.backward
     monkeypatch.setattr(trainer, "backward", lambda loss, rec, wrt, factored=False: (
         seen.append(factored) or original(loss, rec, wrt)))
-    dense, _, _ = pretrain(src, config)
+    dense, _ = pretrain(src, config)
     assert seen and all(seen)
     for name, p in model.params.items():
         assert np.array_equal(p.data.view(np.uint64), dense.params[name].data.view(np.uint64))
@@ -335,11 +335,10 @@ def test_gamma_policy_sampling():
 def test_pretrain_zero_epochs_keeps_init():
     source, _ = tiny_datasets()
     cfg = tiny_config(epochs_pretrain=0)
-    model, state, log = pretrain(source, cfg)
+    model, log = pretrain(source, cfg)
     fresh = model_for(cfg)
     for name, v in model.params.items():
         assert np.array_equal(v.data, fresh.params[name].data)
-    assert state.t == 0
     assert log.records == []
 
 
@@ -362,7 +361,7 @@ def test_pretrain_reaches_high_train_accuracy():
                                     SiteSpec(seed=seed + 50, **spec))
         cfg = tiny_config(lr=3e-3, epochs_pretrain=30, batch_size=8,
                           clf_hidden=32, seed=seed)
-        model, _, log = pretrain(source, cfg)
+        model, log = pretrain(source, cfg)
         assert all(np.isfinite(r["loss_c"]) for r in log.records)
         pred, _ = predict_dataset(model, source)
         accs.append((pred == np.array(source.labels())).mean())
@@ -372,7 +371,7 @@ def test_pretrain_reaches_high_train_accuracy():
 def test_pretrain_logs_one_record_per_epoch():
     source, _ = tiny_datasets()
     cfg = tiny_config(epochs_pretrain=3)
-    _, _, log = pretrain(source, cfg)
+    _, log = pretrain(source, cfg)
     assert [r["epoch"] for r in log.records] == [0, 1, 2]
     assert all(r["stage"] == "pretrain" for r in log.records)
 
