@@ -14,7 +14,8 @@ from __future__ import annotations
 import contextlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +125,14 @@ class SiteSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rois < 2:
-            raise DataError("SiteSpec needs n_rois >= 2")
-        if self.n_subjects_per_class < 1:
-            raise DataError("SiteSpec needs at least one subject per class")
-        if self.series_length < 3:
-            raise DataError("SiteSpec needs series_length >= 3")
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, Integral if integral else Real):
+                raise DataError(f"SiteSpec.{f.name} must be "
+                                f"{'an integer' if integral else 'a number'}, got {value!r}")
+        for name, low in (("n_rois", 2), ("n_subjects_per_class", 1), ("series_length", 3)):
+            if getattr(self, name) < low:
+                raise DataError(f"SiteSpec needs {name} >= {low}")
         for name in ("class_separation", "shift_rotation_strength",
                      "shift_offset_strength", "noise_std"):
             if getattr(self, name) < 0:

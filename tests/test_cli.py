@@ -572,7 +572,123 @@ def _edit_params(edit):
 def test_exit_code_malformed_checkpoint(workspace, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(corrupt(workspace["pre_ckpt"].read_bytes()))
+    out = tmp_path / "e"
     assert main(["eval", "--data", str(workspace["target"]),
-                 "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) == 2
+                 "--checkpoint", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and str(bad) in err
+    assert not out.exists()
+
+
+def write_series(path, seed=0, n_rois=4):
+    rows = np.random.default_rng(seed).normal(size=(30, n_rois))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "attn-top", "export-raw", "export-encoded",
+                                     "fcn", "gradcheck", "ablate"])
+def test_rerun_bitwise_every_command(workspace, tmp_path, command):
+    # synth, pretrain and adapt have their own rerun tests above
+    source, target = str(workspace["source"]), str(workspace["target"])
+    ckpt = str(workspace["adapt_ckpt"])
+    series = [str(write_series(tmp_path / "ts" / f"s{k}.csv", seed=k)) for k in range(2)]
+    argv = {
+        "eval": ["eval", "--data", target, "--checkpoint", ckpt],
+        "attn-top": ["attn-top", "--data", target, "--checkpoint", ckpt, "--k", "4"],
+        "export-raw": ["export-features", "--data", source],
+        "export-encoded": ["export-features", "--data", target, "--mode", "encoded",
+                           "--checkpoint", ckpt],
+        "fcn": ["fcn", *series],
+        "gradcheck": ["gradcheck", "--seeds", "1"],
+        "ablate": ["ablate", "--source", source, "--target", target, "--seeds", "0,1",
+                   *TRAIN_FLAGS],
+    }[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main(["rerun", str(first / "run_manifest.json"), "--out", str(second)]) == 0
+    assert read_tree(first) == read_tree(second)
+
+
+def test_commands_call_the_library_through_cli_attributes(workspace, tmp_path, monkeypatch):
+    # a profiler (perfbench's tracer) rebinds these module attributes; a
+    # command that held its own reference to one would bypass it
+    import aufa.cli as cli
+
+    calls = {}
+    for name in ("load_dataset", "load_checkpoint", "evaluate_model", "pretrain", "adapt"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    source, target = str(workspace["source"]), str(workspace["target"])
+    ckpt = str(workspace["pre_ckpt"])
+    argvs = {
+        "eval": ["eval", "--data", target, "--checkpoint", ckpt],
+        "pretrain": ["pretrain", "--source", source, *TRAIN_FLAGS],
+        "adapt": ["adapt", "--source", source, "--target", target, "--init", ckpt,
+                  *TRAIN_FLAGS],
+    }
+    expected = {
+        "eval": {"load_dataset": 1, "load_checkpoint": 1, "evaluate_model": 1},
+        "pretrain": {"load_dataset": 1, "pretrain": 1},
+        "adapt": {"load_dataset": 2, "load_checkpoint": 1, "adapt": 1},
+    }
+    for command, argv in argvs.items():
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / command)]) == 0
+        assert calls == expected[command], command
+
+
+def _edit_site(site, **fields):
+    def edit(spec):
+        spec[site].update(fields)
+        return spec
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda spec: [spec], "the top level is not a JSON object"),
+    (lambda spec: {"target": spec["target"]}, "'source' is missing or not a JSON object"),
+    (lambda spec: {**spec, "target": [1]}, "'target' is missing or not a JSON object"),
+    (_edit_site("source", n_subjects_per_class="6"),
+     "source: SiteSpec.n_subjects_per_class must be an integer, got '6'"),
+    (_edit_site("target", noise_std=None), "target: SiteSpec.noise_std must be a number"),
+    (_edit_site("target", bogus=1), "bogus"),
+    (lambda spec: {**spec, "source": {"n_rois": 6}}, "'n_subjects_per_class'"),
+    (_edit_site("source", n_subjects_per_class=-1),
+     "source: SiteSpec needs n_subjects_per_class >= 1"),
+    (_edit_site("target", n_rois=7), "source and target must share n_rois"),
+], ids=["not-object", "no-source", "site-not-object", "count-string", "noise-null",
+        "unknown-key", "no-count", "negative-count", "n_rois-mismatch"])
+def test_exit_code_malformed_site_spec(tmp_path, capsys, edit, message):
+    spec = write_site_specs(tmp_path / "spec.json")
+    spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(spec.resolve()) in err
+    assert not out.exists()
+
+
+def test_exit_code_malformed_series_writes_nothing(tmp_path, capsys):
+    good = write_series(tmp_path / "good.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\nabc,4\n5,6\n")
+    out = tmp_path / "out"
+    assert main(["fcn", str(good), str(bad), "--out", str(out)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("same_file", [False, True], ids=["same-stem", "same-path"])
+def test_fcn_rejects_series_that_share_a_stem(tmp_path, capsys, same_file):
+    first = write_series(tmp_path / "a" / "ts.csv", seed=0)
+    second = first if same_file else write_series(tmp_path / "b" / "ts.csv", seed=1)
+    out = tmp_path / "out"
+    assert main(["fcn", str(first), str(second), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(first.resolve()) in err and str(second.resolve()) in err
+    assert "ts_fcn.csv" in err
+    assert not out.exists()
