@@ -7,8 +7,8 @@ from .connectome import (ConnectivityMatrix, DataError, Dataset, SiteSpec,
                          load_timeseries, pearson_fcn, save_dataset,
                          synth_multisite)
 from .diffkernel import ComputationRecord, Value, backward, finite_diff_check
-from .encoder import (AugmentInjection, attention, attention_head, encode,
-                      feed_forward, multi_head_layer)
+from .encoder import (AugmentInjection, attention, encode, feed_forward,
+                      multi_head_layer, resume)
 from .evalreport import (BinaryGraph, ConnectionRanking, MetricsReport,
                          aggregate_attention, auc, betweenness_centrality,
                          binarize_fcn, evaluate_model, export_features,

@@ -2,17 +2,22 @@
 
 Every value is a float64 matrix: either 2-D (scalars are 1x1) or a stack
 of B equal-shape matrices, shape (B, r, c), one per subject. The encoder
-ops (matmul, transpose, add, sub, scale, affine, concat_cols, row_softmax,
+ops (multi_head_attention, matmul, add, sub, scale, affine, row_softmax,
 row_layer_norm, flatten, permute) act on the last two axes, so one node
 serves a whole stack; the other ops take 2-D matrices. ReLU is not an op
 of its own: `affine(..., relu=True)` applies it to the dense layer's
 output buffer in place, one node and one array for dense+ReLU.
 
-When a 2-D value (a weight) meets a stack, the op's vjp returns one
-partial gradient per subject, and backward() folds them into the value's
-adjoint in reverse subject order: the order in which one node per subject
-would have accumulated them. So, as long as each weight feeds one op per
-stacked pass, batching does not change a bit of any gradient.
+`multi_head_attention` is a whole attention block as one node: every
+head's scaled dot-product attention, concatenated, with a hand-written
+vjp. Its forward runs the numpy operations that one node per product
+ran, in their order, so its output and scores have their bits.
+
+When a 2-D value (a weight) meets a stack, the op's vjp returns the
+weight's gradient summed over the subjects: one GEMM over the flattened
+stack, x.reshape(-1, k).T @ g.reshape(-1, n), for a weight that
+multiplies it, and one column sum over its flattened rows for a bias,
+gain or offset row. So every vjp returns arrays of its inputs' shapes.
 
 Operations applied while a ComputationRecord is active are recorded in
 creation order. backward(loss, record, wrt) replays the record in exact
@@ -35,6 +40,7 @@ the output's shape.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -125,23 +131,6 @@ def _emit(op: str, inputs: tuple[Value, ...], out_data: np.ndarray, vjp, finite=
     return out
 
 
-def _fold(acc: np.ndarray | None, parts: np.ndarray, in_place: bool) -> np.ndarray:
-    """acc + parts[B-1] + ... + parts[0] for per-subject partials `parts`,
-    added strictly left to right: the order in which per-subject nodes,
-    met last subject first, would accumulate them. (A numpy reduction may
-    sum pairwise or reorder the subjects.) Sums into `acc` if `in_place`."""
-    if acc is None:
-        out = parts[-1].copy()
-    elif in_place:
-        out = acc
-        out += parts[-1]
-    else:
-        out = acc + parts[-1]
-    for s in parts[-2::-1]:
-        out += s
-    return out
-
-
 def factor_sum(factors: list, rows: slice = slice(None), out=None) -> np.ndarray:
     """Rows `rows` of x1.T @ g1 + x2.T @ g2 + ..., summed left to right (into
     `out`): bitwise the whole sum's rows, but for a one-row slice (a GEMV)."""
@@ -189,12 +178,10 @@ def backward(loss: Value, record: ComputationRecord, wrt: Iterable[Value],
                 continue
             acc = factor_sum(acc) if isinstance(acc, list) else acc  # factors sum first
             dv = factor_sum(dv) if isinstance(dv, list) else dv
-            if dv.ndim > v.data.ndim:
-                acc = _fold(acc, dv, vid in owned)
-            elif acc is None:
+            if acc is None:
                 adjoint[vid] = dv
                 continue
-            elif vid in owned:
+            if vid in owned:
                 acc += dv
             else:
                 acc = acc + dv
@@ -218,6 +205,17 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _flat_gemm(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x.T @ g, summed over the matrices of a stack: one GEMM over the
+    flattened stack. For 2-D x and g it is x.T @ g itself."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _flat_col_sum(g: np.ndarray) -> np.ndarray:
+    """The 1xN column sum of g over every row of every matrix of a stack."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
+
+
 def _matrix(x: Value, op: str) -> None:
     if x.data.ndim != 2:
         raise ValueError(f"{op} needs a 2-D matrix, got shape {x.shape}")
@@ -229,13 +227,13 @@ def matmul(a: Value, b: Value) -> Value:
     out = a.data @ b.data
 
     def vjp(g):
-        return g @ _swap(b.data), _swap(a.data) @ g
+        # a 2-D side times a stack gets the flattened-stack GEMM
+        da = (g @ _swap(b.data) if a.data.ndim == g.ndim
+              else _flat_gemm(_swap(g), _swap(b.data)))
+        db = _swap(a.data) @ g if b.data.ndim == g.ndim else _flat_gemm(a.data, g)
+        return da, db
 
     return _emit("matmul", (a, b), out, vjp)
-
-
-def transpose(x: Value) -> Value:
-    return _emit("transpose", (x,), _swap(x.data).copy(), lambda g: (_swap(g),))
 
 
 def add(a: Value, b: Value) -> Value:
@@ -286,25 +284,10 @@ def affine(x: Value, w: Value, bias: Value, relu: bool = False) -> Value:
         if mask is not None:
             g = g * mask
         # one column is a GEMV, not sliced bitwise (factor_sum): keep it dense
-        dw = [(x.data, g)] if g.ndim == 2 and g.shape[1] > 1 else _swap(x.data) @ g
-        return g @ w.data.T, dw, g.sum(axis=-2, keepdims=True)
+        dw = [(x.data, g)] if g.ndim == 2 and g.shape[1] > 1 else _flat_gemm(x.data, g)
+        return g @ w.data.T, dw, _flat_col_sum(g)
 
     return _emit("affine", (x, w, bias), out, vjp, finite=relu)
-
-
-def concat_cols(xs: Sequence[Value]) -> Value:
-    if not xs:
-        raise ValueError("concat_cols needs at least one input")
-    rows = xs[0].shape[:-1]
-    if any(x.shape[:-1] != rows for x in xs):
-        raise ValueError("concat_cols inputs must share row count")
-    splits = np.cumsum([x.shape[-1] for x in xs])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=-1))
-
-    return _emit("concat_cols", tuple(xs),
-                 np.concatenate([x.data for x in xs], axis=-1), vjp)
 
 
 def concat_rows(xs: Sequence[Value]) -> Value:
@@ -376,13 +359,6 @@ def col_sum(x: Value) -> Value:
     return _emit("col_sum", (x,), x.data.sum(axis=0, keepdims=True), vjp)
 
 
-def sum_all(x: Value) -> Value:
-    def vjp(g):
-        return (np.full(x.shape, g[0, 0]),)
-
-    return _emit("sum_all", (x,), np.array([[x.data.sum()]]), vjp)
-
-
 def sum_squares(x: Value) -> Value:
     def vjp(g):
         return (2.0 * g[0, 0] * x.data,)
@@ -390,21 +366,81 @@ def sum_squares(x: Value) -> Value:
     return _emit("sum_squares", (x,), np.array([[(x.data * x.data).sum()]]), vjp)
 
 
+def _softmax(x: np.ndarray, scale: float) -> np.ndarray:
+    y = float(scale) * x  # then exp(y - max) / sum, in place
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
+    t = g * y
+    np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+    return np.multiply(float(scale) * y, t, out=t)
+
+
 def row_softmax(x: Value, scale: float) -> Value:
     """Row-wise softmax of scale*x, stabilized by per-row max subtraction."""
     if scale <= 0:
         raise ValueError("row_softmax scale must be positive")
-    y = float(scale) * x.data  # then exp(y - max) / sum, in place
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data, scale)
+    return _emit("row_softmax", (x,), y, lambda g: (_softmax_vjp(y, g, scale),))
+
+
+def _head_vjp(g, q, k, v, y, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cotangents of one head's q, k and v, given the cotangent `g` of
+    its output y @ v, with y = softmax(scale * q @ k.T) row by row."""
+    ds = _softmax_vjp(y, g @ _swap(v), scale)
+    return ds @ k, _swap(ds) @ q, _swap(y) @ g
+
+
+def multi_head_attention(z: Value, heads: Sequence[tuple[Value, Value, Value]],
+                         scores: list[np.ndarray] | None = None) -> Value:
+    """Multi-head scaled dot-product self-attention over the rows of `z` (a
+    matrix or a stack), as one node: the heads' outputs concatenated along
+    the columns. If `scores` is a list, each head's row-stochastic score
+    matrices, shaped like z @ z.T, are appended to it in head order.
+
+    `heads` holds one (WQ, WK, WV) weight triple per head; WQ and WK share
+    their shape. Head h computes, in this order, q = z @ WQ, k = z @ WK, a
+    contiguous copy of k's transpose, y = softmax(q @ k.T / sqrt(d_head))
+    (row_softmax's arithmetic), v = z @ WV and y @ v: the operations of one
+    node per product, so the output and the scores have their bits. The
+    vjp forms the q, k and v cotangents head by head, then z's gradient and
+    every weight's (one GEMM over the flattened stack) as two GEMMs against
+    all heads' cotangents side by side.
+    """
+    if not heads:
+        raise ValueError("multi_head_attention needs at least one head")
+    weights = [w for head in heads for w in head]
+    for wq, wk, wv in heads:
+        if any(w.data.ndim != 2 or w.shape[0] != z.shape[-1] for w in (wq, wk, wv)):
+            raise ValueError(f"attention weights must be 2-D with {z.shape[-1]} rows")
+        if wq.shape != wk.shape:
+            raise ValueError(f"attention WQ {wq.shape} and WK {wk.shape} differ")
+    saved, outs = [], []
+    for wq, wk, wv in heads:
+        scale = 1.0 / math.sqrt(wq.shape[1])
+        q = z.data @ wq.data
+        k = z.data @ wk.data
+        y = _softmax(q @ _swap(k).copy(), scale)
+        v = z.data @ wv.data
+        outs.append(y @ v)
+        if scores is not None:
+            scores.append(y)
+        if _ACTIVE:  # only a recorded node's vjp needs them
+            saved.append((q, k, v, y, scale))
+    head_splits = np.cumsum([wv.shape[1] for _, _, wv in heads])[:-1]
+    weight_splits = np.cumsum([w.shape[1] for w in weights])[:-1]
 
     def vjp(g):
-        t = g * y
-        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
-        return (np.multiply(float(scale) * y, t, out=t),)
+        d = np.concatenate([c for gh, head in zip(np.split(g, head_splits, axis=-1), saved)
+                            for c in _head_vjp(gh, *head)], axis=-1)
+        dz = d @ np.concatenate([w.data for w in weights], axis=1).T
+        return (dz, *np.split(_flat_gemm(z.data, d), weight_splits, axis=1))
 
-    return _emit("row_softmax", (x,), y, vjp)
+    return _emit("multi_head_attention", (z, *weights), np.concatenate(outs, axis=-1), vjp)
 
 
 def row_layer_norm(x: Value, gain: Value, offset: Value, eps: float = 1e-5) -> Value:
@@ -424,8 +460,8 @@ def row_layer_norm(x: Value, gain: Value, offset: Value, eps: float = 1e-5) -> V
 
     def vjp(g):
         dx = g * gain.data
-        dgain = (g * xhat).sum(axis=-2, keepdims=True)
-        doffset = g.sum(axis=-2, keepdims=True)
+        dgain = _flat_col_sum(g * xhat)
+        doffset = _flat_col_sum(g)
         m1 = dx.sum(axis=-1, keepdims=True) / n
         t = dx * xhat
         m2 = t.sum(axis=-1, keepdims=True) / n

@@ -10,7 +10,6 @@ single graph-level feature row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +35,6 @@ class AugmentInjection:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
-def attention_head(z: Value, wq: Value, wk: Value, wv: Value) -> tuple[Value, Value]:
-    """Single attention head: returns (weighted value projection, score matrix)."""
-    d_head = wq.shape[1]
-    q = dk.matmul(z, wq)
-    k = dk.matmul(z, wk)
-    scores = dk.row_softmax(dk.matmul(q, dk.transpose(k)), scale=1.0 / math.sqrt(d_head))
-    out = dk.matmul(scores, dk.matmul(z, wv))
-    return out, scores
-
-
 def multi_head_layer(z: Value, model: Model, layer: int,
                      scores: list[np.ndarray] | None = None) -> Value:
     """Concatenate all head outputs, project back to d_model, layer-normalize.
@@ -55,15 +44,10 @@ def multi_head_layer(z: Value, model: Model, layer: int,
     appended to it.
     """
     p = f"layer{layer}"
-    heads = []
-    for head in range(model.config.n_heads):
-        out, s = attention_head(
-            z, model[f"{p}.head{head}.WQ"], model[f"{p}.head{head}.WK"],
-            model[f"{p}.head{head}.WV"])
-        if scores is not None:
-            scores.append(s.data)
-        heads.append(out)
-    projected = dk.matmul(dk.concat_cols(heads), model[f"{p}.W"])
+    attended = dk.multi_head_attention(z, [
+        tuple(model[f"{p}.head{head}.{w}"] for w in ("WQ", "WK", "WV"))
+        for head in range(model.config.n_heads)], scores)
+    projected = dk.matmul(attended, model[f"{p}.W"])
     return dk.row_layer_norm(projected, model[f"{p}.ln1.g"], model[f"{p}.ln1.b"],
                              model.config.ln_eps)
 
@@ -91,24 +75,28 @@ def _array(x: ConnectivityMatrix | np.ndarray | Value) -> np.ndarray:
     return x.data if isinstance(x, Value) else np.asarray(x)
 
 
-def _layers(xs, model: Model, injection: AugmentInjection | None,
-            capture: list[Value] | None, scores: list[np.ndarray] | None) -> Value:
-    """Every encoder layer over the subjects of `xs` as one (B, N, N) stack,
-    then flatten each subject's features into one row."""
+def _stack(xs, model: Model) -> Value:
     if not xs:
         raise ValueError("the encoder needs at least one subject")
     z = Value(np.stack([_array(x) for x in xs]))
-    cfg = model.config
-    n = cfg.d_model
+    n = model.config.d_model
     if z.shape[-2:] != (n, n):
         raise ValueError(f"encoder expects a {n}x{n} input, got {z.shape[-2:]}")
+    return z
+
+
+def _layers(z: Value, model: Model, first: int, injection: AugmentInjection | None,
+            capture: list[Value] | None, scores: list[np.ndarray] | None) -> Value:
+    """Encoder layers `first`, ..., n_layers - 1 over the stack `z`, then
+    flatten each subject's features into one row."""
+    cfg = model.config
     if injection is not None:
-        if not 0 <= injection.layer_index < cfg.n_layers:
+        if not first <= injection.layer_index < cfg.n_layers:
             raise ValueError(f"injection layer {injection.layer_index} out of range")
         if injection.partner_features.shape != z.shape:
             raise ValueError(f"partner features {injection.partner_features.shape} "
                              f"do not match the input {z.shape}")
-    for layer in range(cfg.n_layers):
+    for layer in range(first, cfg.n_layers):
         if capture is not None:
             capture.append(z)
         if injection is not None and injection.layer_index == layer:
@@ -132,7 +120,19 @@ def encode(xs, model: Model, injection: AugmentInjection | None = None,
     layer is appended to it (these are what partner subjects contribute at
     each depth).
     """
-    return _layers(xs, model, injection, capture, None)
+    return _layers(_stack(xs, model), model, 0, injection, capture, None)
+
+
+def resume(z: Value, model: Model, injection: AugmentInjection) -> Value:
+    """The encoder from layer `injection.layer_index` on: `z`, the (B, N, N)
+    stack entering that layer, is blended as `injection` says and run
+    through the remaining layers; returns the (B, N*N) feature rows.
+
+    With `z` the stack that `encode(xs, model, capture=...)` captured at
+    that layer, this is `encode(xs, model, injection=injection)` bit for
+    bit, without recomputing the layers below the blend.
+    """
+    return _layers(z, model, injection.layer_index, injection, None, None)
 
 
 def attention(xs, model: Model) -> np.ndarray:
@@ -140,5 +140,5 @@ def attention(xs, model: Model) -> np.ndarray:
     (B, n_layers * n_heads, N, N) array in (layer, head) order. Each map is
     row-stochastic."""
     scores: list[np.ndarray] = []
-    _layers(xs, model, None, None, scores)
+    _layers(_stack(xs, model), model, 0, None, None, scores)
     return np.stack(scores, axis=1)

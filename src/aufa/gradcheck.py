@@ -28,7 +28,6 @@ def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
     run("matmul", lambda: dk.sum_squares(dk.matmul(a, b)), [a, b])
 
     x34 = Value(np.zeros((3, 4)))
-    run("transpose", lambda: dk.sum_squares(dk.transpose(x34)), [x34])
     run("row_softmax", lambda: dk.sum_squares(dk.row_softmax(x34, scale=0.7)), [x34])
     w = Value(np.zeros((4, 3)))
     bias = Value(np.zeros((1, 3)))
@@ -37,7 +36,6 @@ def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
         [x24, w, bias])
     run("flatten", lambda: dk.sum_squares(dk.flatten(x34)), [x34])
     run("col_sum", lambda: dk.sum_squares(dk.col_sum(x34)), [x34])
-    run("sum_all", lambda: dk.sum_squares(dk.sum_all(x34)), [x34])
     run("sum_squares", lambda: dk.sum_squares(dk.sum_squares(x34)), [x34])
     run("scale", lambda: dk.sum_squares(dk.scale(x34, -1.7)), [x34])
     run("select_rows", lambda: dk.sum_squares(dk.select_rows(x34, [2, 0, 1, 0])), [x34])
@@ -45,8 +43,18 @@ def check_primitives(seeds: int = 5, step: float = 1e-5) -> dict[str, float]:
     y34 = Value(np.zeros((3, 4)))
     run("add", lambda: dk.sum_squares(dk.add(x34, y34)), [x34, y34])
     run("sub", lambda: dk.sum_squares(dk.sub(x34, y34)), [x34, y34])
-    run("concat_cols", lambda: dk.sum_squares(dk.concat_cols([x34, y34])), [x34, y34])
     run("concat_rows", lambda: dk.sum_squares(dk.concat_rows([x34, y34])), [x34, y34])
+
+    # a stack, so each weight's gradient is the flattened-stack GEMM
+    z = Value(np.zeros((2, 4, 4)))
+    heads = [tuple(Value(np.zeros((4, 2))) for _ in range(3)) for _ in range(2)]
+    run("multi_head_attention",
+        lambda: dk.sum_squares(dk.flatten(dk.multi_head_attention(z, heads))),
+        [z, *(w for head in heads for w in head)])
+    # against a constant that differs per subject, so a wrong inverse shows
+    s324 = Value(np.zeros((3, 2, 4)))
+    c324 = Value(np.linspace(-1.0, 1.0, 24).reshape(3, 2, 4))
+    run("permute", lambda: dk.sum_squares(dk.sub(dk.permute(s324, [2, 0, 1]), c324)), [s324])
 
     x46 = Value(np.zeros((4, 6)))
     g16 = Value(np.zeros((1, 6)))

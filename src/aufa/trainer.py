@@ -24,7 +24,7 @@ from .adaptation import (FilterMask, LossWeights, Prediction, classify,
                          confidence_filter, joint_loss, mmd_loss, self_opt_loss)
 from .connectome import Dataset
 from .diffkernel import ComputationRecord, Value, backward
-from .encoder import AugmentInjection, encode
+from .encoder import AugmentInjection, encode, resume
 from .model import Model, ModelConfig, build_model
 
 
@@ -349,9 +349,10 @@ def joint_objective(model: Model, source_x, labels, target_x, partners,
         if weights.lambda1 != 0.0:
             l_m = mmd_loss(pred_s.fc_features, pred_t.fc_features)
         if weights.lambda2 != 0.0:
-            partner = dk.permute(capture[layer], partners)
-            injection = AugmentInjection(layer, partner, gamma)
-            pred_a = classify(encode(target_x, model, injection=injection), model)
+            # the blended pass resumes from the clean pass's input to `layer`
+            own = capture[layer]
+            injection = AugmentInjection(layer, dk.permute(own, partners), gamma)
+            pred_a = classify(resume(own, model, injection), model)
             keep = mask(pred_t, pred_a)
             l_a = self_opt_loss(pred_t, pred_a, keep)
             kept = keep.kept_fraction

@@ -177,10 +177,9 @@ def test_criterion_06_zero_weights_match_pure_source_training():
             rng.integers(cfg.n_layers)
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
-            with ComputationRecord() as rec:
-                rows = [encode([source.subjects[i].fcn], baseline)
-                        for i in batch.source_indices]
-                pred = classify(dk.concat_rows(rows), baseline)
+            with ComputationRecord() as rec:  # the batch as one stack
+                pred = classify(encode([source.subjects[i].fcn for i in batch.source_indices],
+                                       baseline), baseline)
                 loss = dk.cross_entropy(pred.logits, labels)
             grads = backward(loss, rec, params.values())
             adam_step(params, dict(zip(params, grads)), state,

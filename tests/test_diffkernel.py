@@ -20,6 +20,13 @@ def relu(x):
     return dk.affine(x, Value(np.eye(n)), Value(np.zeros((1, n))), relu=True)
 
 
+def entry_sum(x):
+    """The sum of every entry of x as a 1x1 value: its column sums (of the
+    flattened rows, for a stack) times a column of ones."""
+    rows = dk.flatten(x) if x.data.ndim == 3 else x
+    return dk.matmul(dk.col_sum(rows), Value(np.ones((rows.shape[1], 1))))
+
+
 # ---------------------------------------------------------------------------
 # Value / record basics
 
@@ -87,7 +94,7 @@ def test_matmul_against_triple_loop():
 def test_matmul_gradient_vs_finite_differences():
     a = Value(np.zeros((3, 4)))
     b = Value(np.zeros((4, 2)))
-    err = finite_diff_check(lambda: dk.sum_all(dk.matmul(a, b)), [a, b], seeds=3)
+    err = finite_diff_check(lambda: entry_sum(dk.matmul(a, b)), [a, b], seeds=3)
     assert err <= 1e-6
 
 
@@ -210,12 +217,9 @@ def test_affine_relu_is_bitwise_where_of_the_dense_layer(shape):
     gp = g_h * (pre > 0)                     # -0.0 where a negative g is masked
     assert np.signbit(gp[pre <= 0]).any()
     assert np.array_equal(g_x.view(np.uint64), (gp @ w.data.T).view(np.uint64))
-    xs, gps = x.data.reshape((-1,) + shape[-2:]), gp.reshape((-1, shape[-2], 6))
-    want_w = xs[-1].T @ gps[-1]
-    want_b = gps[-1].sum(axis=0, keepdims=True)
-    for xk, gk in zip(xs[-2::-1], gps[-2::-1]):  # backward folds subjects last first
-        want_w += xk.T @ gk
-        want_b += gk.sum(axis=0, keepdims=True)
+    # one GEMM and one column sum over the flattened stack
+    want_w = x.data.reshape(-1, 5).T @ gp.reshape(-1, 6)
+    want_b = gp.reshape(-1, 6).sum(axis=0, keepdims=True)
     assert np.array_equal(g_w.view(np.uint64), want_w.view(np.uint64))
     assert np.array_equal(g_b.view(np.uint64), want_b.view(np.uint64))
 
@@ -257,13 +261,6 @@ def test_affine_zero_weights_replicates_bias():
     assert np.array_equal(out.data, np.tile([[1.5, -2.5]], (4, 1)))
 
 
-def test_concat_cols_example():
-    ones = Value(np.ones((2, 1)))
-    zeros = Value(np.zeros((2, 2)))
-    out = dk.concat_cols([ones, zeros])
-    assert np.array_equal(out.data, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-
-
 def test_flatten_row_major():
     x = Value(np.array([[1.0, 2.0], [3.0, 4.0]]))
     out = dk.flatten(x)
@@ -274,7 +271,7 @@ def test_select_rows_backward_accumulates_repeats():
     x = Value(rand((3, 2), seed=3))
     with ComputationRecord() as rec:
         y = dk.select_rows(x, [1, 1, 0])
-        loss = dk.sum_all(y)
+        loss = entry_sum(y)
     (gx,) = backward(loss, rec, [x])
     assert np.array_equal(gx, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
 
@@ -378,7 +375,7 @@ def test_kl_nonnegative(praw, qraw):
 def test_backward_sum_gives_ones():
     x = Value(rand((3, 4), seed=5))
     with ComputationRecord() as rec:
-        loss = dk.sum_all(x)
+        loss = entry_sum(x)
     (gx,) = backward(loss, rec, [x])
     assert np.array_equal(gx, np.ones((3, 4)))
 
@@ -387,7 +384,7 @@ def test_backward_sum_matmul_constant():
     x = Value(rand((3, 4), seed=6))
     c = Value(rand((4, 2), seed=7))
     with ComputationRecord() as rec:
-        loss = dk.sum_all(dk.matmul(x, c))
+        loss = entry_sum(dk.matmul(x, c))
     (gx,) = backward(loss, rec, [x])
     row_sums = c.data.sum(axis=1)
     assert np.abs(gx - np.tile(row_sums, (3, 1))).max() < 1e-14
@@ -398,7 +395,7 @@ def test_backward_is_pure():
     x = Value(rand((2, 3), seed=8))
     w = Value(rand((3, 3), seed=9))
     with ComputationRecord() as rec:
-        loss = dk.add(dk.sum_squares(relu(dk.matmul(x, w))), dk.sum_all(x))
+        loss = dk.add(dk.sum_squares(relu(dk.matmul(x, w))), entry_sum(x))
     values = [v for node in rec.nodes for v in (*node.inputs, node.output)]
     before = [v.data.copy() for v in values]
     first = backward(loss, rec, [x, w])
@@ -437,7 +434,7 @@ def test_backward_untouched_parameter_keeps_zero_grad():
     x = Value(rand((2, 2), seed=10))
     unused = Value(rand((2, 2), seed=11))
     with ComputationRecord() as rec:
-        loss = dk.sum_all(relu(x))
+        loss = entry_sum(relu(x))
     _, g_unused = backward(loss, rec, [x, unused])
     assert np.array_equal(g_unused, np.zeros((2, 2)))
     assert not np.signbit(g_unused).any()  # exact +0.0, not -0.0
@@ -448,7 +445,7 @@ def test_separate_backwards_match_joint():
     x = Value(rand((3, 3), seed=12))
     with ComputationRecord() as rec:
         a = dk.sum_squares(relu(x))
-        b = dk.sum_all(dk.matmul(x, x))
+        b = entry_sum(dk.matmul(x, x))
         total = dk.add(a, b)
     (joint,) = backward(total, rec, [x])
     (ga,) = backward(a, rec, [x])
@@ -475,7 +472,7 @@ def test_backward_add_of_a_value_with_itself():
     x = Value(rand((2, 3), seed=20))
     with ComputationRecord() as rec:
         y = dk.add(x, x)
-        loss = dk.add(dk.sum_squares(y), dk.sum_all(dk.scale(x, 3.0)))
+        loss = dk.add(dk.sum_squares(y), entry_sum(dk.scale(x, 3.0)))
     g_y, g_x = _backward_leaves_inputs_alone(loss, rec, [y, x])
     assert np.array_equal(g_y, 2.0 * y.data)
     # add's vjp hands g_y to both inputs; the sum is a new array
@@ -493,8 +490,8 @@ def test_backward_shared_cotangent_with_further_contributions():
         a2, b2 = dk.scale(a, 2.0), dk.scale(b, -0.5)   # the last contributions
         ua, ub = dk.matmul(a, c), dk.scale(b, 3.0)
         s = dk.add(a, b)                              # the first contribution
-        loss = dk.add(dk.add(dk.sum_squares(s), dk.sum_all(ua)),
-                      dk.add(dk.sum_all(ub), dk.sum_all(dk.add(a2, b2))))
+        loss = dk.add(dk.add(dk.sum_squares(s), entry_sum(ua)),
+                      dk.add(entry_sum(ub), entry_sum(dk.add(a2, b2))))
     g_s, g_a, g_b = _backward_leaves_inputs_alone(loss, rec, [s, a, b])
     ones = np.ones((3, 3))
     assert np.array_equal(g_s, 2.0 * s.data)
@@ -503,16 +500,16 @@ def test_backward_shared_cotangent_with_further_contributions():
 
 
 def test_backward_intermediate_in_wrt_keeps_its_adjoint():
-    """t's adjoint is a sum backward owns; transpose's vjp hands x a view
+    """t's adjoint is a sum backward owns; flatten's vjp hands x a view
     of it, and x's further contribution must not be added into that view."""
     x = Value(rand((2, 3), seed=24))
     with ComputationRecord() as rec:
         r = dk.scale(x, 5.0)
-        t = dk.transpose(x)
-        loss = dk.add(dk.add(dk.sum_squares(t), dk.sum_all(t)), dk.sum_all(r))
+        t = dk.flatten(x)
+        loss = dk.add(dk.add(dk.sum_squares(t), entry_sum(t)), entry_sum(r))
     g_t, g_x = _backward_leaves_inputs_alone(loss, rec, [t, x])
-    assert np.array_equal(g_t, np.ones((3, 2)) + 2.0 * t.data)
-    assert np.array_equal(g_x, g_t.T + np.full((2, 3), 5.0))
+    assert np.array_equal(g_t, np.ones((1, 6)) + 2.0 * t.data)
+    assert np.array_equal(g_x, g_t.reshape(2, 3) + np.full((2, 3), 5.0))
 
 
 def _head_record(relus=(True, False, True), extra=None):
@@ -596,7 +593,7 @@ def test_finite_diff_quadratic_form():
     q = Value(q + q.T)
 
     def f():
-        return dk.matmul(dk.transpose(x), dk.matmul(q, x))
+        return dk.matmul(dk.flatten(x), dk.matmul(q, x))  # x.T q x for a column x
 
     err = finite_diff_check(f, [x], seeds=3)
     assert err <= 1e-8
@@ -617,7 +614,7 @@ def test_finite_diff_independent_parameter():
 def test_finite_diff_rejects_bad_step():
     x = Value(np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        finite_diff_check(lambda: dk.sum_all(x), [x], step=1e-2)
+        finite_diff_check(lambda: dk.sum_squares(x), [x], step=1e-2)
 
 
 def test_every_primitive_gradient_within_tolerance():
@@ -654,8 +651,9 @@ def layer_norm_reference(x, gain, offset, eps):
 
     def vjp(g):
         dxhat = g * gain
-        dgain = (g * xhat).sum(axis=-2, keepdims=True)
-        doffset = g.sum(axis=-2, keepdims=True)
+        # over a stack, one column sum over its flattened rows
+        dgain = (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0, keepdims=True)
+        doffset = g.reshape(-1, x.shape[-1]).sum(axis=0, keepdims=True)
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         return inv_std * (dxhat - m1 - xhat * m2), dgain, doffset
@@ -705,13 +703,16 @@ def test_stacked_ops_match_per_matrix_ops_bitwise():
     g = Value(rng.uniform(0.5, 1.5, (1, 3)))
     o = Value(rng.uniform(-1, 1, (1, 3)))
 
+    heads = [tuple(Value(rng.uniform(-1, 1, (4, 3))) for _ in range(3)) for _ in range(2)]
+    w6 = Value(rng.uniform(-1, 1, (6, 3)))
+
     def chain(x):
-        h = dk.affine(dk.matmul(x, dk.transpose(x)), w, bias, relu=True)
-        h = dk.concat_cols([h, dk.scale(h, 0.5)])
+        h = dk.multi_head_attention(dk.matmul(x, x), heads)
+        h = dk.affine(h, w6, bias, relu=True)
         return dk.flatten(dk.add(dk.row_softmax(h, 0.7), dk.row_softmax(h, 1.3)))
 
     stacked = chain(Value(xs))
-    assert stacked.shape == (5, 24)
+    assert stacked.shape == (5, 12)
     for k in range(5):
         assert np.array_equal(stacked.data[k], chain(Value(xs[k])).data[0])
     norm = dk.row_layer_norm(dk.affine(Value(xs), w, bias), g, o)
@@ -722,9 +723,10 @@ def test_stacked_ops_match_per_matrix_ops_bitwise():
 
 @pytest.mark.parametrize("batch", [1, 3, 32])
 def test_stacked_parameter_gradients_fold_in_reverse_subject_order(batch):
-    """One stacked node per op gives bitwise the parameter gradients of one
-    node per subject (recorded subject by subject, so backward meets the
-    last subject first), as long as each parameter feeds one op."""
+    """A 2-D weight fed by a stack gets its gradient as one GEMM over the
+    flattened stack, and a bias, gain or offset row as one column sum over
+    its flattened rows, bit for bit. Against one node per subject (summed
+    last subject first) it agrees to 1e-12 relative."""
     rng = np.random.default_rng(batch)
     xs = rng.uniform(-1, 1, (batch, 5, 5))
     w = Value(rng.uniform(-1, 1, (5, 7)))
@@ -735,33 +737,44 @@ def test_stacked_parameter_gradients_fold_in_reverse_subject_order(batch):
     params = [w, w2, bias, gain, offset]
 
     def body(x):
-        h = dk.affine(dk.matmul(dk.transpose(x), w), w2, bias)
-        return dk.row_layer_norm(h, gain, offset)
+        h1 = dk.matmul(x, w)
+        h = dk.affine(h1, w2, bias)
+        return h1, h, dk.row_layer_norm(h, gain, offset)
 
-    def grads(loss_of):
-        with ComputationRecord() as rec:
-            loss = loss_of()
-        return backward(loss, rec, params)
+    with ComputationRecord() as rec:
+        x = Value(xs)
+        h1, h, out = body(x)
+        loss = dk.sum_squares(dk.flatten(out))
+    g_w, g_w2, g_bias, g_gain, g_offset, g_h1, g_h = backward(
+        loss, rec, [*params, h1, h])
+    _, ln_vjp = layer_norm_reference(h.data, gain.data, offset.data, 1e-5)
+    _, want_gain, want_offset = ln_vjp(2.0 * out.data)
+    want = [xs.reshape(-1, 5).T @ g_h1.reshape(-1, 7),
+            h1.data.reshape(-1, 7).T @ g_h.reshape(-1, 5),
+            g_h.reshape(-1, 5).sum(axis=0, keepdims=True), want_gain, want_offset]
+    assert same_bits([g_w, g_w2, g_bias, g_gain, g_offset], want)
 
-    stacked = grads(lambda: dk.sum_squares(dk.flatten(body(Value(xs)))))
-    per_subject = grads(lambda: dk.sum_squares(
-        dk.concat_rows([dk.flatten(body(Value(x))) for x in xs])))
-    for got, want in zip(stacked, per_subject):
-        assert np.array_equal(got, want)
+    with ComputationRecord() as rec:
+        loss = dk.sum_squares(dk.concat_rows([dk.flatten(body(Value(x))[2]) for x in xs]))
+    per_subject = backward(loss, rec, params)
+    for got, ref in zip([g_w, g_w2, g_bias, g_gain, g_offset], per_subject):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_stacked_primitive_gradients_within_tolerance():
     x = Value(np.zeros((3, 4, 4)))
     y = Value(np.zeros((3, 4, 4)))
     w = Value(np.zeros((4, 2)))
+    m = Value(np.zeros((2, 4)))
     bias = Value(np.zeros((1, 2)))
     gain = Value(np.zeros((1, 4)))
     offset = Value(np.zeros((1, 4)))
     checks = [
-        (lambda: dk.matmul(x, dk.transpose(y)), [x, y]),
+        (lambda: dk.matmul(x, y), [x, y]),
         (lambda: dk.matmul(x, w), [x, w]),
+        (lambda: dk.matmul(m, x), [m, x]),
         (lambda: dk.affine(x, w, bias), [x, w, bias]),
-        (lambda: dk.concat_cols([x, dk.affine(y, w, bias, relu=True)]), [x, y, w, bias]),
+        (lambda: dk.affine(y, w, bias, relu=True), [y, w, bias]),
         (lambda: dk.row_softmax(dk.sub(x, y), 0.7), [x, y]),
         (lambda: dk.row_layer_norm(x, gain, offset), [x, gain, offset]),
         (lambda: dk.flatten(dk.permute(x, [2, 0, 1])), [x]),
@@ -774,7 +787,7 @@ def test_permute_backward_is_exact_inverse_and_keeps_negative_zero():
     x = Value(rand((3, 2, 2)))
     with ComputationRecord() as rec:
         y = dk.permute(x, [2, 0, 1])
-        loss = dk.sum_all(dk.scale(y, -0.0))
+        loss = entry_sum(dk.scale(y, -0.0))
     assert np.array_equal(y.data, x.data[[2, 0, 1]])
     (gx,) = backward(loss, rec, [x])
     assert np.signbit(gx).all()  # -0.0 everywhere, as scale's vjp gave it

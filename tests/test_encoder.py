@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from aufa import diffkernel as dk
 from aufa.connectome import TimeSeries, pearson_fcn
 from aufa.diffkernel import Value, finite_diff_check
-from aufa.encoder import (AugmentInjection, attention, attention_head, encode,
-                          feed_forward, multi_head_layer)
+from aufa.encoder import (AugmentInjection, attention, encode, feed_forward,
+                          multi_head_layer)
 from aufa.model import Model, ModelConfig, init_values, parameter_shapes
 
 
@@ -74,6 +74,13 @@ def test_init_weight_mean_within_three_sigma():
 # attention head
 
 
+def attention_head(z, wq, wk, wv):
+    """One head through the attention op: (output value, score array)."""
+    scores = []
+    out = dk.multi_head_attention(z, [(wq, wk, wv)], scores)
+    return out, scores[0]
+
+
 def test_attention_head_uniform_when_scores_zero():
     n, d_head = 5, 3
     rng = np.random.default_rng(0)
@@ -82,7 +89,7 @@ def test_attention_head_uniform_when_scores_zero():
     wk = Value(np.zeros((n, d_head)))
     wv = Value(rng.normal(size=(n, d_head)))
     out, scores = attention_head(z, wq, wk, wv)
-    assert np.abs(scores.data - 1.0 / n).max() < 1e-15
+    assert np.abs(scores - 1.0 / n).max() < 1e-15
     col_mean = (z.data @ wv.data).mean(axis=0)
     assert np.abs(out.data - col_mean).max() < 1e-12
 
@@ -111,7 +118,7 @@ def test_attention_head_permutation_equivariance():
     out, scores = attention_head(Value(z), *ws)
     out_p, scores_p = attention_head(Value(z[perm]), *ws)
     assert np.abs(out_p.data - out.data[perm]).max() < 1e-10
-    assert np.abs(scores_p.data - scores.data[perm][:, perm]).max() < 1e-10
+    assert np.abs(scores_p - scores[perm][:, perm]).max() < 1e-10
 
 
 def attention_scalar_oracle(z, wq, wk, wv):
@@ -146,9 +153,44 @@ def test_attention_head_matches_scalar_oracle():
     out, scores = attention_head(Value(z), Value(wq), Value(wk), Value(wv))
     want_out, want_a = attention_scalar_oracle(z.tolist(), wq.tolist(),
                                                wk.tolist(), wv.tolist())
-    assert np.abs(scores.data.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(out.data - want_out).max() < 1e-12
-    assert np.abs(scores.data - want_a).max() < 1e-12
+    assert np.abs(scores - want_a).max() < 1e-12
+
+
+def attention_reference(z, heads):
+    """Per-head numpy: the products and the row_softmax arithmetic of one
+    node per product, in their order; (concatenated outputs, scores)."""
+    outs, maps = [], []
+    for wq, wk, wv in heads:
+        q, k = z @ wq, z @ wk
+        y = (1.0 / math.sqrt(wq.shape[1])) * (q @ np.swapaxes(k, -1, -2).copy())
+        y = np.exp(y - y.max(axis=-1, keepdims=True))
+        y = y / y.sum(axis=-1, keepdims=True)
+        outs.append(y @ (z @ wv))
+        maps.append(y)
+    return np.concatenate(outs, axis=-1), maps
+
+
+@pytest.mark.parametrize("n", [6, 16, 116])
+def test_attention_op_and_maps_give_the_per_head_reference_bits(n):
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=n, ffn_hidden=8)
+    model = encoder_model(cfg, seed=n)
+    xs = [toy_fcn(300 + s, n=n) for s in range(3)]
+    capture: list[Value] = []
+    encode(xs, model, capture=capture)
+    maps = attention(xs, model)
+    for layer, z in enumerate(capture):
+        heads = [tuple(model[f"layer{layer}.head{h}.{w}"].data for w in ("WQ", "WK", "WV"))
+                 for h in range(cfg.n_heads)]
+        want_out, want_maps = attention_reference(z.data, heads)
+        got_maps = []
+        out = dk.multi_head_attention(z, [tuple(Value(w) for w in head) for head in heads],
+                                      got_maps)
+        assert out.data.tobytes() == want_out.tobytes()
+        for h, want in enumerate(want_maps):
+            assert got_maps[h].tobytes() == want.tobytes()
+            assert maps[:, layer * cfg.n_heads + h].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +382,8 @@ def _classifier_gradients(model, loss_of):
 
 @pytest.mark.parametrize("batch", [1, 4, 32])
 def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
+    """A stack's gradients agree with one encode per subject to 1e-12
+    relative (a weight fed by a stack sums its subjects in one GEMM)."""
     from aufa.adaptation import classify
     from aufa.model import build_model
 
@@ -359,7 +403,7 @@ def test_batched_encoder_gradients_bitwise_equal_per_subject(batch):
     got = _classifier_gradients(model, batched)
     want = _classifier_gradients(model, per_subject)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
 
 
 def test_training_builds_no_attention_maps(monkeypatch):

@@ -387,7 +387,10 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
     model_a = model_for(cfg)
     adapt(model_a, source, target, cfg)
 
-    # independent pure source-training loop with identical rng consumption
+    # independent pure source-training loop with identical rng consumption;
+    # it encodes each batch as one stack, as the one encoder does
+    from aufa.encoder import encode
+
     model_b = model_for(cfg)
     params = model_b.params
     state = OptimizerState()
@@ -398,10 +401,8 @@ def test_adapt_zero_weights_matches_pure_source_training_bitwise():
             cfg.gamma_policy.sample(rng)
             labels = [source.subjects[i].label for i in batch.source_indices]
             with ComputationRecord() as rec:
-                rows = [__import__("aufa.encoder", fromlist=["encode"]).encode(
-                    [source.subjects[i].fcn], model_b)
-                    for i in batch.source_indices]
-                pred = classify(dk.concat_rows(rows), model_b)
+                pred = classify(encode([source.subjects[i].fcn for i in batch.source_indices],
+                                       model_b), model_b)
                 loss = dk.cross_entropy(pred.logits, labels)
             grads = backward(loss, rec, params.values())
             adam_step(params, dict(zip(params, grads)), state,
@@ -484,20 +485,34 @@ def test_joint_backward_equals_sum_of_parts():
         assert np.abs(joint[k] - parts[k]).max() <= 1e-10, k
 
 
-@pytest.mark.parametrize("lambda1,lambda2,encodes", [
+@pytest.mark.parametrize("lambda1,lambda2,passes", [
     (0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 3), (1.0, 1.0, 3)])
-def test_zero_weight_terms_cost_no_encodes(monkeypatch, lambda1, lambda2, encodes):
+def test_zero_weight_terms_cost_no_encodes(monkeypatch, lambda1, lambda2, passes):
+    """A step encodes the source, then the clean target if a target term is
+    on; the third pass, the blended one, runs only the layers from its
+    blend layer up, on the clean pass's input to that layer."""
+    import aufa.encoder
     import aufa.trainer
 
     source, target = tiny_datasets(per_class=8)
-    cfg = tiny_config(lambda1=lambda1, lambda2=lambda2, epochs_adapt=1)
-    subjects = []
-    original = aufa.trainer.encode
+    cfg = tiny_config(lambda1=lambda1, lambda2=lambda2, epochs_adapt=2, n_layers=3)
+    subjects, layers, blend_layers = [], [], []
+    encode, layer_fn, objective = (aufa.trainer.encode, aufa.encoder.multi_head_layer,
+                                   aufa.trainer.joint_objective)
     monkeypatch.setattr(aufa.trainer, "encode",
-                        lambda xs, *a, **k: subjects.append(len(xs)) or original(xs, *a, **k))
+                        lambda xs, *a, **k: subjects.append(len(xs)) or encode(xs, *a, **k))
+    monkeypatch.setattr(aufa.encoder, "multi_head_layer", lambda z, model, layer, *a: (
+        layers.append((layer, z.shape[0])) or layer_fn(z, model, layer, *a)))
+    monkeypatch.setattr(aufa.trainer, "joint_objective", lambda *a, **k: (
+        blend_layers.append(a[5]) or objective(*a, **k)))
     adapt(model_for(cfg), source, target, cfg)
-    steps = len(target) // cfg.batch_size
-    assert subjects == [cfg.batch_size] * (encodes * steps)
+    steps = len(target) // cfg.batch_size * cfg.epochs_adapt
+    assert len(blend_layers) == steps and len(set(blend_layers)) > 1
+    assert subjects == [cfg.batch_size] * (min(passes, 2) * steps)
+    want = []
+    for blend in blend_layers:
+        want += [*range(3)] * min(passes, 2) + ([*range(blend, 3)] if passes == 3 else [])
+    assert layers == [(layer, cfg.batch_size) for layer in want]
 
 
 def aufa_step_nodes(batch_size, n_rois=16):
@@ -524,7 +539,7 @@ def aufa_step_nodes(batch_size, n_rois=16):
 def test_aufa_step_node_count_is_independent_of_batch_size():
     nodes = aufa_step_nodes(4)
     assert nodes == aufa_step_nodes(32)
-    assert nodes < 300
+    assert nodes <= 80
 
 
 def test_gradcheck_checks_the_trainers_objective(monkeypatch):
@@ -541,6 +556,62 @@ def test_gradcheck_checks_the_trainers_objective(monkeypatch):
 
     monkeypatch.setattr(aufa.trainer, "mmd_loss", skewed_mmd)
     assert check_joint_loss(seeds=1) > 1e-4
+
+
+@pytest.mark.parametrize("which", ["q", "k", "v"])
+def test_gradcheck_sees_a_skewed_attention_cotangent(monkeypatch, which):
+    # the second head's q, k or v cotangent off by 0.1%, in every attention
+    # node: both the op's own check and the joint check must see it
+    from aufa.gradcheck import check_joint_loss, check_primitives
+
+    calls = []
+    original = dk._head_vjp
+
+    def skewed(*args):
+        parts = list(original(*args))
+        calls.append(None)
+        if len(calls) % 2 == 0:  # two heads per node, in order
+            parts["qkv".index(which)] = parts["qkv".index(which)] * (1 + 1e-3)
+        return tuple(parts)
+
+    monkeypatch.setattr(dk, "_head_vjp", skewed)
+    assert check_primitives(seeds=1)["multi_head_attention"] > 1e-4
+    assert check_joint_loss(seeds=1) > 1e-4
+    assert calls
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+def test_joint_objective_blended_pass_gives_the_reencoding_bits(layer, gamma):
+    """The blended pass resumed from the clean pass's capture gives the loss
+    bits of re-encoding the target batch with an AugmentInjection."""
+    from aufa.adaptation import FilterMask, LossWeights, joint_loss
+    from aufa.encoder import AugmentInjection, encode
+    from aufa.trainer import joint_objective
+
+    source, target = tiny_datasets(per_class=8)
+    model, _ = pretrain(source, tiny_config(epochs_pretrain=2))
+    batch = sample_paired_batches(source, target, 4, _rng_children(0)[3])[0]
+    src = [source.subjects[i].fcn for i in batch.source_indices]
+    tgt = [target.subjects[i].fcn for i in batch.target_indices]
+    labels = [source.subjects[i].label for i in batch.source_indices]
+    weights = LossWeights(1.0, 1.0)
+
+    def keep_all(clean, blended):
+        return FilterMask(keep=np.ones(4, dtype=bool), threshold=0.8)
+
+    loss, _ = joint_objective(model, src, labels, tgt, batch.partners, layer, gamma,
+                              weights, keep_all)
+    pred_s = classify(encode(src, model), model)
+    capture = []
+    pred_t = classify(encode(tgt, model, capture=capture), model)
+    injection = AugmentInjection(layer, dk.permute(capture[layer], batch.partners), gamma)
+    pred_a = classify(encode(tgt, model, injection=injection), model)
+    want = joint_loss(dk.cross_entropy(pred_s.logits, labels),
+                      mmd_loss(pred_s.fc_features, pred_t.fc_features),
+                      self_opt_loss(pred_t, pred_a, keep_all(pred_t, pred_a)), weights)
+    assert loss.data.tobytes() == want.data.tobytes()
+    assert loss.item() > 0.0
 
 
 # ---------------------------------------------------------------------------
