@@ -10,7 +10,6 @@ that the adapted model recovers most of the in-domain accuracy.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -19,6 +18,7 @@ import numpy as np
 from .connectome import Dataset, SiteSpec, synth_multisite
 from .evalreport import MetricsReport, evaluate_model
 from .model import clone_model
+from .parallel import default_workers
 from .trainer import TrainConfig, adapt, pretrain
 
 # Frozen generator operating point for the acceptance benchmark. The shift
@@ -111,34 +111,6 @@ class AblationResult:
         return "\n".join(lines)
 
 
-# Per-process BLAS thread limits, in the order OpenBLAS reads them.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def default_workers(n_seeds: int) -> int:
-    """Seed processes for `run_ablation`: as many as the usable cores hold
-    at one process's BLAS thread count, and no more than there are seeds.
-    With no limit set BLAS spreads over every core, so that is one: its
-    threads spin, and a forked child cannot re-pin a BLAS already loaded.
-    It is also one where `fork` is not available, and where a function the
-    seeds call has been wrapped in this process (`__wrapped__` set, as
-    `functools.wraps` and perfbench's tracer set it): a wrapper that
-    records calls would not see those of a forked worker."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or any(hasattr(fn, "__wrapped__")
-                   for fn in (pretrain, adapt, evaluate_model, clone_model))):
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
-    blas_threads = usable
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return max(1, min(n_seeds, usable // blas_threads))
-
-
 def _ablate_seed(source: Dataset, target: Dataset, config: TrainConfig,
                  seed: int) -> list[MetricsReport]:
     """Pretrain at `seed`, then adapt each variant from a clone of the
@@ -184,7 +156,8 @@ def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
     loop, and the workers still running are killed at once; a worker that
     dies (killed for memory, say) raises `BrokenProcessPool`."""
     seeds = tuple(int(s) for s in seeds)
-    workers = default_workers(len(seeds)) if workers is None else workers
+    if workers is None:
+        workers = default_workers(len(seeds), pretrain, adapt, evaluate_model, clone_model)
     if workers == 1:
         per_seed = [_ablate_seed(source, target, config, seed) for seed in seeds]
     else:

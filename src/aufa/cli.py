@@ -6,8 +6,9 @@ input before it makes the output directory and writes the outputs plus a run
 manifest (run_manifest.json) there; `rerun` reproduces them byte for byte.
 Exit codes: 0 success, 1 runtime failure, 2 bad flags or run manifest,
 invalid configuration, malformed input data (a dataset manifest, site spec,
-time-series or connectivity CSV), a malformed checkpoint or one that does not
-fit a dataset's region count.
+time-series or connectivity CSV), a dataset without the labels or the
+subjects for a batch that its command needs, a malformed checkpoint or one
+that does not fit a dataset's region count.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ class Command(NamedTuple):
     inputs: dict  # request key -> Input
     params: dict  # request key -> Param
     run: Callable  # (read inputs, params, out dir, ablate workers) -> (outputs, exit code)
+    labelled: tuple = ()  # dataset inputs whose every subject needs a label
+    batched: dict = {}  # TrainConfig epoch count -> dataset inputs its batches draw from
 
 
 def _is_int(value) -> bool:
@@ -261,13 +264,14 @@ COMMANDS = {
                    {"series": Input("series", SERIES)}, {}, _run_fcn),
     "pretrain": Command("stage one: source-only supervised training",
                         {"source": Input("--source", DATASET)}, {"config": CONFIG},
-                        _run_training),
+                        _run_training, ("source",), {"epochs_pretrain": ("source",)}),
     "adapt": Command("stage two: joint-loss adaptation to an unlabelled target",
                      {**_PAIR, "checkpoint": Input("--init", CHECKPOINT,
                                                    "pretrained checkpoint")},
-                     {"config": CONFIG}, _run_training),
+                     {"config": CONFIG}, _run_training, ("source",),
+                     {"epochs_adapt": ("source", "target")}),
     "eval": Command("metrics JSON for a labelled dataset under a checkpoint",
-                    _SCORED, {}, _run_eval),
+                    _SCORED, {}, _run_eval, ("data",)),
     "attn-top": Command("strongest mean-attention region pairs", _SCORED,
                         {"k": Param("--k", {"type": int, "default": 10}, _positive_int,
                                     "--k must be a positive integer")},
@@ -295,7 +299,8 @@ COMMANDS = {
                                        and all(_is_int(s) for s in seeds)
                                        and len(set(seeds)) == len(seeds)),
                         "--seeds must name one or more distinct seeds")},
-        _run_ablate),
+        _run_ablate, ("source", "target"),
+        {"epochs_pretrain": ("source",), "epochs_adapt": ("source", "target")}),
 }
 
 
@@ -309,11 +314,45 @@ def _build_request(args: argparse.Namespace) -> dict:
     return _check_request({"command": args.command, "inputs": inputs, "params": params})
 
 
+def _manifest_labels(manifest) -> list | None:
+    """The label (0, 1 or None) of each subject of a dataset manifest, or
+    None if an entry is not an object with such a label: `load_dataset`
+    then names what is wrong."""
+    entries = manifest.get("subjects") if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list) and entries and all(
+            isinstance(e, dict) and e.get("label") in (0, 1, None) for e in entries)):
+        return None
+    return [e.get("label") for e in entries]
+
+
+def _check_datasets(request: dict, manifests: dict) -> None:
+    """Every subject of a dataset the command needs labelled has a label,
+    and a training stage that runs finds a batch in each dataset it reads."""
+    row, inputs = COMMANDS[request["command"]], request["inputs"]
+    labels = {key: _manifest_labels(m) for key, m in manifests.items()}
+    for key in row.labelled:
+        if labels[key] is not None and None in labels[key]:
+            raise ConfigError(f"{request['command']} needs a label for every subject of "
+                              f"{row.inputs[key].flag}, but {labels[key].count(None)} of "
+                              f"{len(labels[key])} in {inputs[key]} have none")
+    if not row.batched:
+        return
+    config = _train_config(request["params"]["config"])
+    for epochs, keys in row.batched.items():
+        for key in keys:
+            if getattr(config, epochs) and labels[key] is not None \
+                    and len(labels[key]) < config.batch_size:
+                raise ConfigError(f"--batch-size {config.batch_size} is larger than the "
+                                  f"{len(labels[key])} subjects of {row.inputs[key].flag} "
+                                  f"{inputs[key]}")
+
+
 def _check_request(request: dict) -> dict:
     """A request's values, whether built from flags or read from a run
     manifest: each param is one its flag accepts (the error names the flag),
-    every input file exists (its path is made absolute in place), and a
-    checkpoint has the architecture of the config, if any, and as many
+    every input file exists (its path is made absolute in place), a dataset
+    has the labels and batch sizes its command needs (`_check_datasets`),
+    and a checkpoint has the architecture of the config, if any, and as many
     regions as every dataset."""
     row = COMMANDS[request["command"]]
     inputs, params = request["inputs"], request["params"]
@@ -328,6 +367,9 @@ def _check_request(request: dict) -> dict:
             raise ConfigError(f"input {key} must be {what}, got {value!r}")
         paths = [_require_file(p, kind.what) for p in paths]
         inputs[key] = paths if kind is SERIES else paths[0]
+    manifests = {key: _load_json(inputs[key], "dataset manifest")
+                 for key, i in row.inputs.items() if i.kind is DATASET and key in inputs}
+    _check_datasets(request, manifests)
     if "checkpoint" not in inputs:
         return request
     ckpt = read_checkpoint_config(inputs["checkpoint"])
@@ -339,11 +381,10 @@ def _check_request(request: dict) -> dict:
             if value != theirs[key]:
                 raise ConfigError(f"config {key}={value} does not match checkpoint "
                                   f"{key}={theirs[key]}: {inputs['checkpoint']}")
-    for path in (inputs[k] for k, i in row.inputs.items() if i.kind is DATASET):
-        manifest = _load_json(path, "dataset manifest")
+    for key, manifest in manifests.items():
         n_rois = manifest.get("n_rois") if isinstance(manifest, dict) else None
         if n_rois != ckpt.d_model:
-            raise ConfigError(f"dataset {path} has n_rois={n_rois}, but checkpoint "
+            raise ConfigError(f"dataset {inputs[key]} has n_rois={n_rois}, but checkpoint "
                               f"{inputs['checkpoint']} has d_model={ckpt.d_model}")
     return request
 

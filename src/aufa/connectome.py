@@ -6,7 +6,8 @@ connectivity file holds an NxN matrix in the same shape. A cell is any
 string float() accepts, and blank lines are skipped; numpy's C reader gives
 float()'s bits, and a file it rejects is parsed cell by cell. Datasets are
 described by a JSON manifest whose file paths are resolved relative to the
-manifest's directory.
+manifest's directory; a large dataset's files are parsed in two processes
+(`parallel.fork_map`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import fork_map
 
 
 class DataError(ValueError):
@@ -150,8 +153,9 @@ def _parse_csv_matrix(path: Path) -> np.ndarray:
         raise DataError(f"{path}: is a directory, not a CSV file")
     with contextlib.suppress(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "no data": the cell parser names the file
-        values = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
-                            encoding="utf-8")
+        # an open file, not a path: numpy's path handling costs twice its parse
+        with open(path, encoding="utf-8") as fh:
+            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
         if values.size:
             return values
     return _parse_csv_cells(path)
@@ -187,21 +191,25 @@ def _parse_csv_cells(path: Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def load_timeseries(path, subject_id: str | None = None, site_id: str = "") -> TimeSeries:
-    """Parse a headerless CSV of T rows x N columns into a TimeSeries."""
-    path = Path(path)
-    values = _parse_csv_matrix(path)
+def _timeseries(path: Path, values: np.ndarray, subject_id: str | None,
+                site_id: str) -> TimeSeries:
     try:
         return TimeSeries(subject_id=subject_id or path.stem, values=values, site_id=site_id)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
+def load_timeseries(path, subject_id: str | None = None, site_id: str = "") -> TimeSeries:
+    """Parse a headerless CSV of T rows x N columns into a TimeSeries."""
+    path = Path(path)
+    return _timeseries(path, _parse_csv_matrix(path), subject_id, site_id)
+
+
 def write_csv_matrix(values: np.ndarray, path) -> None:
     """Write a matrix as headerless CSV with round-trip-exact floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.asarray(values):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.asarray(values, dtype=np.float64).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +354,13 @@ def load_dataset(manifest_path) -> Dataset:
     if not entries:
         raise DataError(f"dataset manifest {manifest_path}: 'subjects' is empty")
     root = manifest_path.parent
+    # Parse every CSV first, in two processes where that pays, keeping each
+    # file's error; the checks below then meet the parses and the errors in
+    # manifest order, as if each file were read where it is checked.
+    parsed = fork_map(_parse_or_error, [
+        root / str(e["path"]) if isinstance(e, dict) and "path" in e
+        and e.get("kind", "fcn") in ("fcn", "timeseries") else None for e in entries],
+        len(entries) * n_rois ** 2, _parse_csv_matrix)
     subjects = []
     seen: set[str] = set()
     for k, entry in enumerate(entries):
@@ -358,10 +373,12 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError(f"manifest {manifest_path} references missing file {path}")
         kind = entry.get("kind", "fcn")
         site = str(entry.get("site", ""))
+        values = parsed[k]
+        if isinstance(values, Exception):
+            raise values
         if kind == "timeseries":
-            fcn = pearson_fcn(load_timeseries(path, subject_id=sid, site_id=site))
+            fcn = pearson_fcn(_timeseries(path, values, sid, site))
         elif kind == "fcn":
-            values = _parse_csv_matrix(path)
             try:
                 fcn = ConnectivityMatrix(values)
             except DataError as exc:
@@ -380,6 +397,15 @@ def load_dataset(manifest_path) -> Dataset:
                 raise DataError(f"label for {sid!r} in {manifest_path} must be 0, 1, or null")
         subjects.append(SubjectRecord(sid, fcn, label, site))
     return Dataset(tuple(subjects), n_rois)
+
+
+def _parse_or_error(path: Path | None) -> np.ndarray | Exception | None:
+    if path is None:
+        return None
+    try:
+        return _parse_csv_matrix(path)
+    except Exception as exc:
+        return exc
 
 
 def save_dataset(dataset: Dataset, out_dir, with_labels: bool = True) -> Path:

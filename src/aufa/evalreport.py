@@ -9,12 +9,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import diffkernel as dk
 from .adaptation import classify
 from .connectome import ConnectivityMatrix, Dataset
 from .diffkernel import Value
 from .encoder import attention, encode
 from .model import Model
+from .parallel import fork_map
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +120,27 @@ def _stacks(dataset: Dataset) -> list[list[ConnectivityMatrix]]:
     return [xs[i:i + size] for i in range(0, len(xs), size)]
 
 
-def _encode_cohort(model: Model, dataset: Dataset) -> Value:
+def _map_stacks(fn, dataset: Dataset, call) -> np.ndarray:
+    """`fn`'s arrays for every stack, joined in subject order; the later
+    stacks run in a forked child where that pays (`parallel.fork_map`).
+    `call` is the encoder function `fn` runs."""
+    work = len(dataset) * dataset.n_rois ** 2
+    return np.concatenate(fork_map(fn, _stacks(dataset), work, call))
+
+
+def _encode_cohort(model: Model, dataset: Dataset) -> np.ndarray:
     """Graph feature rows of every subject."""
-    return dk.concat_rows([encode(xs, model) for xs in _stacks(dataset)])
+    return _map_stacks(lambda xs: encode(xs, model).data, dataset, encode)
 
 
 def attention_maps(model: Model, dataset: Dataset) -> np.ndarray:
     """Every subject's attention maps, (n_subjects, n_layers * n_heads, N, N)."""
-    return np.concatenate([attention(xs, model) for xs in _stacks(dataset)])
+    return _map_stacks(lambda xs: attention(xs, model), dataset, attention)
 
 
 def predict_dataset(model: Model, dataset: Dataset):
     """Encode and classify every subject; returns (labels, scores)."""
-    pred = classify(_encode_cohort(model, dataset), model)
+    pred = classify(Value(_encode_cohort(model, dataset)), model)
     return pred.hard_labels(), pred.positive_scores()
 
 
@@ -201,9 +209,9 @@ class FeatureTable:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
             for sid, site, label, row in zip(self.subject_ids, self.sites,
-                                             self.labels, self.features):
+                                             self.labels, self.features.tolist()):
                 lab = "" if label is None else str(label)
-                feats = ",".join(repr(float(v)) for v in row)
+                feats = ",".join(map(repr, row))
                 fh.write(f"{sid},{site},{lab},{feats}\n")
 
 
@@ -222,7 +230,7 @@ def export_features(dataset: Dataset, which: str, model: Model | None = None) ->
     elif which == "encoded":
         if model is None:
             raise ValueError("encoded export needs a model checkpoint")
-        feats = _encode_cohort(model, dataset).data
+        feats = _encode_cohort(model, dataset)
     else:
         raise ValueError(f"unknown export mode {which!r}")
     header = ("subject_id", "site", "label") + tuple(f"f{i}" for i in range(feats.shape[1]))

@@ -14,6 +14,7 @@ import pytest
 from aufa import benchmark as bm
 from aufa.cli import main
 from aufa.connectome import Dataset, save_dataset, synth_multisite
+from aufa.parallel import BLAS_THREAD_VARS
 from aufa.trainer import TrainConfig
 
 CONFIG = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_layers=1,
@@ -56,7 +57,7 @@ def test_one_worker_never_forks(data, monkeypatch):
     ids=["unpinned", "pinned-2-cpus", "one-seed", "omp-2-of-8", "mkl-3-seeds",
          "more-threads-than-cpus"])
 def test_default_workers(monkeypatch, env, cpus, n_seeds, expected):
-    for var in bm.BLAS_THREAD_VARS:
+    for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -78,13 +79,19 @@ def test_default_workers_one_without_fork(monkeypatch):
     assert bm.default_workers(5) == 1
 
 
-def test_default_workers_one_when_a_seed_function_is_wrapped(monkeypatch):
+def test_default_workers_one_when_a_seed_function_is_wrapped(data, monkeypatch):
     # a call recorder in this process would miss a forked worker's calls
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    assert bm.default_workers(5) == 4
-    monkeypatch.setattr(bm, "adapt", functools.wraps(bm.adapt)(lambda *a, **k: None))
-    assert bm.default_workers(5) == 1
+    assert bm.default_workers(5, bm.pretrain, bm.adapt) == 4
+    wrapped = functools.wraps(bm.adapt)(lambda *a, **k: None)
+    assert bm.default_workers(5, bm.pretrain, wrapped) == 1
+    # run_ablation asks about every function a seed runs, as bound at the call
+    asked = []
+    monkeypatch.setattr(bm, "adapt", wrapped)
+    monkeypatch.setattr(bm, "default_workers", lambda n, *calls: asked.append(calls) or 1)
+    bm.run_ablation(*data, CONFIG, seeds=(0,))
+    assert asked == [(bm.pretrain, wrapped, bm.evaluate_model, bm.clone_model)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -155,7 +162,7 @@ def ablate(source, target, out, *extra):
 
 def test_cli_default_and_serial_write_the_same_files(manifests, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(bm, "default_workers", lambda n: calls.append(n) or 2)
+    monkeypatch.setattr(bm, "default_workers", lambda n, *fns: calls.append(n) or 2)
     assert ablate(*manifests, tmp_path / "parallel") == 0
     assert ablate(*manifests, tmp_path / "serial", "--serial") == 0
     assert calls == [3]  # --serial never asks for a worker count
@@ -172,7 +179,7 @@ def test_cli_failing_seed_same_error_either_way(data, tmp_path, monkeypatch, cap
     save_dataset(data[1], tmp_path / "target")
     source = str(tmp_path / "source" / "manifest.json")
     target = str(tmp_path / "target" / "manifest.json")
-    monkeypatch.setattr(bm, "default_workers", lambda n: 2)
+    monkeypatch.setattr(bm, "default_workers", lambda n, *fns: 2)
     errors = []
     for extra in ([], ["--serial"]):
         assert ablate(source, target, tmp_path / "out", *extra) == 1

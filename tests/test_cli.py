@@ -161,19 +161,82 @@ def test_exit_code_architecture_mismatch(workspace, tmp_path):
                  "--epochs-adapt", "1"]) == 2
 
 
-def test_exit_code_runtime_failure(workspace, tmp_path):
-    # an unlabelled dataset cannot be evaluated: the request is fine,
-    # failure happens at run time
+def test_exit_code_runtime_failure(workspace, tmp_path, capsys):
+    # a source of one class is a well-formed request; training fails on it
     data = tmp_path / "data"
     assert main(["synth", "--spec", str(workspace["specs"]), "--out", str(data)]) == 0
-    manifest = data / "target" / "manifest.json"
+    manifest = data / "source" / "manifest.json"
     entries = json.loads(manifest.read_text())
-    for entry in entries["subjects"]:
-        entry["label"] = None
+    entries["subjects"] = [e for e in entries["subjects"] if e["label"] == 0]
     manifest.write_text(json.dumps(entries))
-    assert main(["eval", "--data", str(manifest),
-                 "--checkpoint", str(workspace["pre_ckpt"]),
-                 "--out", str(tmp_path / "e")]) == 1
+    assert main(["pretrain", "--source", str(manifest), *TRAIN_FLAGS,
+                 "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == "error: source dataset must contain both classes\n"
+
+
+def _copy_unlabelled(manifest: Path, to: Path) -> Path:
+    """A copy of a dataset with the second subject's label null."""
+    shutil.copytree(manifest.parent, to)
+    data = json.loads((to / "manifest.json").read_text())
+    data["subjects"][1]["label"] = None
+    (to / "manifest.json").write_text(json.dumps(data))
+    return to / "manifest.json"
+
+
+@pytest.mark.parametrize("case", ["eval-data", "pretrain-source", "adapt-source",
+                                  "ablate-source", "ablate-target"])
+def test_exit_code_unlabelled_dataset_before_any_output(workspace, tmp_path, capsys, case):
+    command, key = case.split("-")
+    paths = {"source": str(workspace["source"]), "target": str(workspace["target"])}
+    bad = str(_copy_unlabelled(Path(paths["target" if key == "data" else key]),
+                               tmp_path / "bad").resolve())
+    paths[key] = bad
+    argv = {"eval": ["--data", bad, "--checkpoint", str(workspace["pre_ckpt"])],
+            "pretrain": ["--source", paths["source"], *TRAIN_FLAGS],
+            "adapt": ["--source", paths["source"], "--target", paths["target"],
+                      "--init", str(workspace["pre_ckpt"]), *TRAIN_FLAGS],
+            "ablate": ["--source", paths["source"], "--target", paths["target"],
+                       "--seeds", "0", *TRAIN_FLAGS]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--{key}, but 1 of 12 in {bad} have none" in err
+    assert not out.exists()
+
+
+def test_adapt_reads_an_unlabelled_target(workspace, tmp_path):
+    target = _copy_unlabelled(workspace["target"], tmp_path / "target")
+    assert main(["adapt", "--source", str(workspace["source"]), "--target", str(target),
+                 "--init", str(workspace["pre_ckpt"]), *TRAIN_FLAGS,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command,flags,named", [
+    ("pretrain", ["--batch-size", "64"], "source"),
+    ("adapt", ["--batch-size", "13"], "source"),
+    ("ablate", ["--batch-size", "64"], "source"),
+    ("ablate", ["--batch-size", "64", "--epochs-pretrain", "0"], "source"),
+])
+def test_exit_code_batch_larger_than_a_dataset(workspace, tmp_path, capsys, command, flags,
+                                               named):
+    argv = ["--source", str(workspace["source"]), *TRAIN_FLAGS, *flags]
+    if command != "pretrain":
+        argv += ["--target", str(workspace["target"])]
+    if command == "adapt":
+        argv += ["--init", str(workspace["pre_ckpt"])]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--batch-size {flags[1]} is larger than the 12 subjects of --{named} " \
+           f"{workspace['source'].resolve()}" in err
+    assert not out.exists()
+
+
+def test_a_stage_that_does_not_run_needs_no_batch(workspace, tmp_path):
+    # no pretrain epochs: an empty model is trained on no batch at all
+    assert main(["pretrain", "--source", str(workspace["source"]), *TRAIN_FLAGS,
+                 "--epochs-pretrain", "0", "--batch-size", "64",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def _edit_manifest(edit):
