@@ -9,16 +9,15 @@ that the adapted model recovers most of the in-domain accuracy.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .connectome import Dataset, SiteSpec, synth_multisite
 from .evalreport import MetricsReport, evaluate_model
 from .model import clone_model
-from .parallel import default_workers
+from .parallel import default_workers, fork_map
 from .trainer import TrainConfig, adapt, pretrain
 
 # Frozen generator operating point for the acceptance benchmark. The shift
@@ -127,55 +126,25 @@ def _ablate_seed(source: Dataset, target: Dataset, config: TrainConfig,
     return reports
 
 
-# (source, target, config), set only in a forked seed worker
-_worker_inputs: tuple | None = None
-
-
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _ablate_seed_in_worker(seed: int) -> list[MetricsReport]:
-    return _ablate_seed(*_worker_inputs, seed)
-
-
 def run_ablation(source: Dataset, target: Dataset, config: TrainConfig,
                  seeds=(0, 1, 2, 3, 4), workers: int | None = None) -> AblationResult:
     """Pretrain once per seed, then adapt each ablation variant from the
     same pretrained weights; evaluates everything on the labelled target.
 
-    Seeds are independent. `workers` forked processes (default
-    `default_workers`) run them; `workers=1` runs them one after another
-    in this process. The result is the same either way, but each worker
-    holds its own models and optimizer state, so the peak memory is about
-    `workers` times one seed's. Workers are forked, not spawned, so that
-    they inherit the datasets instead of unpickling a copy per seed; a
-    caller that runs threads of its own should pass `workers=1`. The first
-    seed, in seed order, that raises re-raises here, as in the one-process
-    loop, and the workers still running are killed at once; a worker that
-    dies (killed for memory, say) raises `BrokenProcessPool`."""
+    Seeds are independent. `workers` forked children (default
+    `default_workers`) run one contiguous run of them each while this
+    process waits (`parallel.fork_map`); `workers=1`, or another thread
+    alive in the caller, runs them one after another here. The result is
+    the same either way, but each worker holds its own models and
+    optimizer state, so the peak memory is about `workers` times one
+    seed's. The first seed, in seed order, that raises re-raises here and
+    kills the workers still running; a worker that dies (killed for
+    memory, say) raises ChildProcessError naming the signal."""
     seeds = tuple(int(s) for s in seeds)
     if workers is None:
         workers = default_workers(len(seeds), pretrain, adapt, evaluate_model, clone_model)
-    if workers == 1:
-        per_seed = [_ablate_seed(source, target, config, seed) for seed in seeds]
-    else:
-        others = multiprocessing.active_children()
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(source, target, config)) as pool:
-            futures = [pool.submit(_ablate_seed_in_worker, seed) for seed in seeds]
-            try:
-                per_seed = [f.result() for f in futures]
-            except BaseException:
-                # the other seeds' results would be thrown away: kill the
-                # workers, which breaks the pool and fails the queued seeds;
-                # leaving the block then joins them
-                for process in multiprocessing.active_children():
-                    if process not in others:
-                        process.terminate()
-                raise
+    per_seed = fork_map(partial(_ablate_seed, source, target, config), seeds, workers,
+                        keep_first=False)
     names = ("pretrain",) + VARIANT_NAMES
     return AblationResult(seeds=seeds, reports={
         name: [reports[i] for reports in per_seed] for i, name in enumerate(names)})

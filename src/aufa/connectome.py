@@ -7,7 +7,7 @@ string float() accepts, and blank lines are skipped; numpy's C reader gives
 float()'s bits, and a file it rejects is parsed cell by cell. Datasets are
 described by a JSON manifest whose file paths are resolved relative to the
 manifest's directory; a large dataset's files are parsed in two processes
-(`parallel.fork_map`).
+(`parallel.cohort_map`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .parallel import fork_map
+from .parallel import cohort_map
 
 
 class DataError(ValueError):
@@ -357,7 +357,7 @@ def load_dataset(manifest_path) -> Dataset:
     # Parse every CSV first, in two processes where that pays, keeping each
     # file's error; the checks below then meet the parses and the errors in
     # manifest order, as if each file were read where it is checked.
-    parsed = fork_map(_parse_or_error, [
+    parsed = cohort_map(_parse_or_error, [
         root / str(e["path"]) if isinstance(e, dict) and "path" in e
         and e.get("kind", "fcn") in ("fcn", "timeseries") else None for e in entries],
         len(entries) * n_rois ** 2, _parse_csv_matrix)

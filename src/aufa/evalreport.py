@@ -14,7 +14,7 @@ from .connectome import ConnectivityMatrix, Dataset
 from .diffkernel import Value
 from .encoder import attention, encode
 from .model import Model
-from .parallel import fork_map
+from .parallel import cohort_map
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +122,10 @@ def _stacks(dataset: Dataset) -> list[list[ConnectivityMatrix]]:
 
 def _map_stacks(fn, dataset: Dataset, call) -> np.ndarray:
     """`fn`'s arrays for every stack, joined in subject order; the later
-    stacks run in a forked child where that pays (`parallel.fork_map`).
+    stacks run in a forked child where that pays (`parallel.cohort_map`).
     `call` is the encoder function `fn` runs."""
     work = len(dataset) * dataset.n_rois ** 2
-    return np.concatenate(fork_map(fn, _stacks(dataset), work, call))
+    return np.concatenate(cohort_map(fn, _stacks(dataset), work, call))
 
 
 def _encode_cohort(model: Model, dataset: Dataset) -> np.ndarray:

@@ -70,28 +70,26 @@ class Model:
         return self.params[name]
 
 
-def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Name and shape of every weight, in initialization order."""
+def _shape_items(config: ModelConfig):
+    """(name, shape) of every weight, in initialization order, one at a time."""
     d, dk_, h, f = config.d_model, config.head_width, config.n_heads, config.ffn_hidden
-    shapes: dict[str, tuple[int, int]] = {}
     for layer in range(config.n_layers):
         p = f"layer{layer}"
         for head in range(h):
             for w in ("WQ", "WK", "WV"):
-                shapes[f"{p}.head{head}.{w}"] = (d, dk_)
-        shapes[f"{p}.W"] = (h * dk_, d)
-        shapes[f"{p}.ln1.g"] = (1, d)
-        shapes[f"{p}.ln1.b"] = (1, d)
-        shapes[f"{p}.W1"] = (d, f)
-        shapes[f"{p}.b1"] = (1, f)
-        shapes[f"{p}.W2"] = (f, d)
-        shapes[f"{p}.b2"] = (1, d)
-        shapes[f"{p}.ln2.g"] = (1, d)
-        shapes[f"{p}.ln2.b"] = (1, d)
+                yield f"{p}.head{head}.{w}", (d, dk_)
+        yield from {f"{p}.W": (h * dk_, d), f"{p}.ln1.g": (1, d), f"{p}.ln1.b": (1, d),
+                    f"{p}.W1": (d, f), f"{p}.b1": (1, f), f"{p}.W2": (f, d),
+                    f"{p}.b2": (1, d), f"{p}.ln2.g": (1, d), f"{p}.ln2.b": (1, d)}.items()
     # the classifier: d_model^2 graph features -> clf_hidden -> 2
     c = config.clf_hidden
-    shapes.update({"clf.W1": (d * d, c), "clf.b1": (1, c), "clf.W2": (c, 2), "clf.b2": (1, 2)})
-    return shapes
+    yield from {"clf.W1": (d * d, c), "clf.b1": (1, c), "clf.W2": (c, 2),
+                "clf.b2": (1, 2)}.items()
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every weight, in initialization order."""
+    return dict(_shape_items(config))
 
 
 def param_kind(name: str) -> str:
@@ -205,16 +203,17 @@ def _read_header(fh, path: Path) -> tuple[ModelConfig, list, str]:
         digest = str(header["sha256"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint header is malformed: {path} ({exc!r})") from None
-    # the names and shapes the builder gives this architecture
-    expected = parameter_shapes(config)
-    found = dict(entries)
-    for name, shape in expected.items():
+    # the builder's names and shapes for this architecture, walked lazily: it
+    # stops at the first name the header lacks, so claimed depth costs nothing
+    found, expected = dict(entries), set()
+    for name, shape in _shape_items(config):
         if name not in found:
             raise CheckpointError(f"checkpoint lacks parameter {name}: {path}")
         if found[name] != shape:
             raise CheckpointError(f"checkpoint parameter {name} has shape {found[name]}, "
                                   f"expected {shape}: {path}")
-    extra = sorted(found.keys() - expected.keys())
+        expected.add(name)
+    extra = sorted(found.keys() - expected)
     if extra:
         raise CheckpointError(f"checkpoint has unexpected parameter {extra[0]}: {path}")
     return config, entries, digest

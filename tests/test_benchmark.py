@@ -1,12 +1,12 @@
 """Seed-parallel ablation: the forked workers give the in-process loop's
-results bit for bit, and leave no process behind."""
+results bit for bit, and leave no process behind (the root conftest fails
+a test that leaves a child)."""
 
 import functools
 import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from aufa import benchmark as bm
 from aufa.cli import main
 from aufa.connectome import Dataset, save_dataset, synth_multisite
-from aufa.parallel import BLAS_THREAD_VARS
+from aufa.parallel import BLAS_THREAD_VARS, default_workers
 from aufa.trainer import TrainConfig
 
 CONFIG = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_layers=1,
@@ -39,7 +39,6 @@ def test_workers_match_in_process_bitwise(data):
     assert parallel.seeds == serial.seeds == (0, 1, 2)
     assert parallel.table_rows() == serial.table_rows()
     assert parallel.reports == serial.reports
-    assert multiprocessing.active_children() == []
 
 
 def test_one_worker_never_forks(data, monkeypatch):
@@ -62,30 +61,30 @@ def test_default_workers(monkeypatch, env, cpus, n_seeds, expected):
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert bm.default_workers(n_seeds) == expected
+    assert default_workers(n_seeds) == expected
 
 
 def test_default_workers_without_affinity(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert bm.default_workers(5) == 3
+    assert default_workers(5) == 3
 
 
 def test_default_workers_one_without_fork(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert bm.default_workers(5) == 1
+    assert default_workers(5) == 1
 
 
 def test_default_workers_one_when_a_seed_function_is_wrapped(data, monkeypatch):
     # a call recorder in this process would miss a forked worker's calls
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    assert bm.default_workers(5, bm.pretrain, bm.adapt) == 4
+    assert default_workers(5, bm.pretrain, bm.adapt) == 4
     wrapped = functools.wraps(bm.adapt)(lambda *a, **k: None)
-    assert bm.default_workers(5, bm.pretrain, wrapped) == 1
+    assert default_workers(5, bm.pretrain, wrapped) == 1
     # run_ablation asks about every function a seed runs, as bound at the call
     asked = []
     monkeypatch.setattr(bm, "adapt", wrapped)
@@ -100,7 +99,6 @@ def test_failing_seed_raises_and_leaves_no_process(data, workers):
     with pytest.raises(ValueError, match=ONE_CLASS):
         bm.run_ablation(one_class(source), target, CONFIG, seeds=(0, 1, 2),
                         workers=workers)
-    assert multiprocessing.active_children() == []
 
 
 def test_failing_seed_cancels_pending_seeds(data, tmp_path, monkeypatch):
@@ -114,7 +112,6 @@ def test_failing_seed_cancels_pending_seeds(data, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="seed 0 failed"):
         bm.run_ablation(*data, CONFIG, seeds=range(12), workers=2)
     assert len(list(tmp_path.glob("started-*"))) < 12
-    assert multiprocessing.active_children() == []
 
 
 def test_failing_seed_kills_running_seeds(data, monkeypatch):
@@ -128,7 +125,6 @@ def test_failing_seed_kills_running_seeds(data, monkeypatch):
     with pytest.raises(ValueError, match="seed 0 failed"):
         bm.run_ablation(*data, CONFIG, seeds=(0, 1), workers=2)
     assert time.perf_counter() - t0 < 30
-    assert multiprocessing.active_children() == []
 
 
 def test_killed_worker_raises_instead_of_hanging(data, monkeypatch):
@@ -138,9 +134,8 @@ def test_killed_worker_raises_instead_of_hanging(data, monkeypatch):
         time.sleep(0.5)
         return []
     monkeypatch.setattr(bm, "_ablate_seed", seed_run)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ChildProcessError, match="^the forked worker was killed by SIGKILL$"):
         bm.run_ablation(*data, CONFIG, seeds=(0, 1, 2), workers=2)
-    assert multiprocessing.active_children() == []
 
 
 TRAIN_FLAGS = ["--epochs-pretrain", "1", "--epochs-adapt", "1", "--batch-size", "4",
@@ -171,7 +166,6 @@ def test_cli_default_and_serial_write_the_same_files(manifests, tmp_path, monkey
              for run in ("parallel", "serial")]
     assert sorted(trees[0]) == ["ablation.csv", "ablation.json", "run_manifest.json"]
     assert trees[0] == trees[1]
-    assert multiprocessing.active_children() == []
 
 
 def test_cli_failing_seed_same_error_either_way(data, tmp_path, monkeypatch, capsys):
@@ -185,4 +179,14 @@ def test_cli_failing_seed_same_error_either_way(data, tmp_path, monkeypatch, cap
         assert ablate(source, target, tmp_path / "out", *extra) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"error: {ONE_CLASS}\n"
-    assert multiprocessing.active_children() == []
+
+
+def test_cli_killed_worker_exits_1(manifests, tmp_path, monkeypatch, capsys):
+    def seed_run(source, target, config, seed):
+        if seed == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return []
+    monkeypatch.setattr(bm, "_ablate_seed", seed_run)
+    monkeypatch.setattr(bm, "default_workers", lambda n, *fns: 2)
+    assert ablate(*manifests, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: the forked worker was killed by SIGKILL\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -640,6 +641,29 @@ def test_exit_code_malformed_checkpoint(workspace, tmp_path, capsys, corrupt, me
                  "--checkpoint", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keep_params", [False, True], ids=["no-params", "two-layers-listed"])
+def test_exit_code_checkpoint_claiming_a_billion_layers(workspace, tmp_path, capsys,
+                                                        keep_params):
+    # the header's parameter list, not its claimed depth, bounds the check
+    blob = workspace["pre_ckpt"].read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + n])
+    header["config"]["n_layers"] = 10 ** 9
+    if not keep_params:
+        header["params"] = []
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "deep.bin"
+    bad.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n:])
+    out = tmp_path / "e"
+    t0 = time.perf_counter()
+    assert main(["eval", "--data", str(workspace["target"]),
+                 "--checkpoint", str(bad), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    missing = "layer2.head0.WQ" if keep_params else "layer0.head0.WQ"
+    assert f"checkpoint lacks parameter {missing}: {bad}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,29 +1,34 @@
-"""The two-process map: a forked child's half gives the one-process results
-and errors bit for bit, and no process outlives a call."""
+"""The forked map: its children's runs give the one-process results and
+errors bit for bit, and no process outlives a call."""
 
 import functools
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aufa
+from aufa import benchmark as bm
 from aufa import evalreport as er
 from aufa import parallel
 from aufa.cli import main
 from aufa.connectome import SiteSpec, load_dataset, save_dataset, synth_multisite, \
     write_csv_matrix
 from aufa.model import build_model, save_checkpoint
+from aufa.trainer import TrainConfig
 
 
 @pytest.fixture
 def forks(monkeypatch):
     """The pids `fork_map` forks, on two usable cores at one BLAS thread and
-    with no work threshold, so that every map of two or more items forks."""
+    with no work threshold, so that every cohort map of two or more items
+    forks."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(parallel, "FORK_MIN_WORK", 0)
@@ -49,20 +54,20 @@ def test_fork_map_gives_the_one_process_results(forks):
     def fn(x):
         return np.full((2, 3), x / 7.0)
 
-    got = parallel.fork_map(fn, range(7), 1)
+    got = parallel.fork_map(fn, range(7), 2, keep_first=True)
     assert len(forks) == 1
     assert [a.tobytes() for a in got] == [fn(x).tobytes() for x in range(7)]
     assert no_child_left()
 
 
 @pytest.mark.parametrize("case", ["below-threshold", "one-item", "thread-alive",
-                                  "pool-worker", "wrapped-call", "blas-unpinned"])
+                                  "fork-map-child", "wrapped-call", "blas-unpinned"])
 def test_fork_map_stays_in_one_process(forks, monkeypatch, case):
     items, calls = range(4), ()
     if case == "below-threshold":
         monkeypatch.setattr(parallel, "FORK_MIN_WORK", 10)
-    elif case == "pool-worker":
-        monkeypatch.setattr(multiprocessing, "parent_process", lambda: "the pool's parent")
+    elif case == "fork-map-child":
+        monkeypatch.setattr(parallel, "_in_child", True)  # as `_fork` sets it in a child
     elif case == "one-item":
         items = [3]
     elif case == "wrapped-call":
@@ -76,7 +81,7 @@ def test_fork_map_stays_in_one_process(forks, monkeypatch, case):
     for thread in threads:
         thread.start()
     try:
-        assert parallel.fork_map(lambda x: x * x, items, 5, *calls) == [x * x for x in items]
+        assert parallel.cohort_map(lambda x: x * x, items, 5, *calls) == [x * x for x in items]
     finally:
         done.set()
         for thread in threads:
@@ -93,7 +98,7 @@ def test_fork_map_raises_the_first_error_in_item_order(forks, bad, first):
         return x
 
     with pytest.raises(ValueError, match=f"^item {first}$"):
-        parallel.fork_map(fn, range(8), 1)  # items 4-7 are the child's
+        parallel.fork_map(fn, range(8), 2, keep_first=True)  # items 4-7 are the child's
     assert len(forks) == 1 and no_child_left()
 
 
@@ -106,7 +111,7 @@ def test_killed_child_raises_instead_of_hanging(forks):
         return x
 
     with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
-        parallel.fork_map(fn, range(4), 1)
+        parallel.fork_map(fn, range(4), 2, keep_first=True)
     assert no_child_left()
 
 
@@ -119,7 +124,7 @@ def test_child_that_exits_without_a_result_raises(forks):
         return x
 
     with pytest.raises(ChildProcessError, match="status 3 and no result"):
-        parallel.fork_map(fn, range(4), 1)
+        parallel.fork_map(fn, range(4), 2, keep_first=True)
     assert no_child_left()
 
 
@@ -133,9 +138,69 @@ def test_an_error_in_this_process_kills_the_child(forks):
 
     t0 = time.perf_counter()
     with pytest.raises(KeyError):
-        parallel.fork_map(fn, range(4), 1)
+        parallel.fork_map(fn, range(4), 2, keep_first=True)
     assert time.perf_counter() - t0 < 30
     assert no_child_left()
+
+
+def test_fork_map_without_keep_first_forks_every_run(forks):
+    got = parallel.fork_map(lambda x: (x, os.getpid()), range(7), 3, keep_first=False)
+    assert [x for x, _ in got] == list(range(7)) and len(forks) == 3
+    # contiguous runs, the earlier ones longer, one child each
+    assert [pid for _, pid in got] == [forks[0]] * 3 + [forks[1]] * 2 + [forks[2]] * 2
+    assert no_child_left()
+
+
+def test_a_map_inside_a_fork_map_child_stays_in_that_child(forks):
+    def fn(x):
+        before = len(forks)  # this child's copy of the list
+        inner = parallel.fork_map(lambda y: x * 10 + y, range(4), 2, keep_first=True)
+        return inner, len(forks) - before
+
+    got = parallel.fork_map(fn, range(2), 2, keep_first=False)
+    assert got == [([0, 1, 2, 3], 0), ([10, 11, 12, 13], 0)] and len(forks) == 2
+    assert no_child_left()
+
+
+def test_an_error_in_the_middle_child_kills_the_later_ones(forks):
+    def fn(x):
+        if x == 0:
+            time.sleep(0.3)  # the middle child has failed by the time this run ends
+        if x in (4, 7):
+            raise ValueError(f"item {x}")
+        if x == 6:
+            time.sleep(60)
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^item 4$"):
+        parallel.fork_map(fn, range(9), 3, keep_first=False)  # runs 0-2, 3-5 and 6-8
+    assert time.perf_counter() - t0 < 30
+    assert len(forks) == 3 and no_child_left()
+
+
+def test_three_children_give_the_one_process_ablation(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    source, target = bm.benchmark_site_specs(6, 6, seed=3)
+    data = synth_multisite(replace(source, n_rois=6), replace(target, n_rois=6))
+    config = TrainConfig(epochs_pretrain=1, epochs_adapt=1, batch_size=4, n_layers=1,
+                         n_heads=2, ffn_hidden=8, clf_hidden=8, lr=1e-3)
+    forked = bm.run_ablation(*data, config, seeds=range(5))
+    assert len(forks) == 3  # seeds 0-1, 2-3 and 4
+    serial = bm.run_ablation(*data, config, seeds=range(5), workers=1)
+    assert len(forks) == 3
+    assert forked.seeds == serial.seeds == (0, 1, 2, 3, 4)
+    assert forked.reports == serial.reports
+    assert no_child_left()
+
+
+def test_parallel_is_the_one_fork_site():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(aufa.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if "os.fork(" in text] == ["parallel.py"]
+    for name, text in sources.items():
+        for banned in ("concurrent.futures", "multiprocessing.Pool", "parent_process"):
+            assert banned not in text, f"{name} uses {banned}"
 
 
 def cohort(tmp_path, n_rois=8, per_class=5):
